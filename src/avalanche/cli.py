@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
     if args.command == "simulate":
-        print(json.dumps(_jsonable(cmd := harness.cmd_simulate(config))))
+        print(json.dumps(_jsonable(harness.cmd_simulate(config))))
     elif args.command == "exact":
         result = harness.cmd_exact(config)
         et, es = result["expected_duration"], result["expected_size"]

@@ -249,8 +249,10 @@ def max_distribution(system: SubstochasticSystem, i0: int,
     j_max = n if j_max is None else j_max
     tail = max_survival(system, i0, range(i0, j_max + 2))
     pmf = [mp.mpf(0)] * (j_max + 1)
-    for j in range(i0, j_max + 1):
-        pmf[j] = tail[j - i0] - tail[j - i0 + 1]
+    # the tails carry the working precision; so must their differences
+    with mp.workdps(system.precision.decimal_digits + _GUARD_DIGITS):
+        for j in range(i0, j_max + 1):
+            pmf[j] = tail[j - i0] - tail[j - i0 + 1]
     return pmf
 
 
@@ -263,14 +265,41 @@ def build_q_float(params: ModelParams) -> np.ndarray:
     return q
 
 
+def _checked_float_solve(params: ModelParams, rhs: np.ndarray,
+                         what: str) -> np.ndarray:
+    """Solve (I-Q)x = rhs in float64; raise unless x >= rhs and the
+    residual is below 1e-8 * max(1, |rhs|_inf).
+
+    Both expected duration and size satisfy x >= rhs, since the chain
+    spends at least the first step (and that step's count) in i.  Near
+    and above the transition I - Q can be too ill-conditioned for
+    float64, and the solve then returns garbage, negative values
+    included.
+    """
+    a = np.eye(params.n - 1) - build_q_float(params)
+    x = np.linalg.solve(a, rhs)
+    where = f"float64 {what} at n={params.n}, p={params.p}"
+    if not np.isfinite(x).all():
+        raise ArithmeticError(f"{where} is not finite")
+    if (x < rhs).any():
+        raise ArithmeticError(f"{where} falls below its floor "
+                              f"(min {float(np.min(x - rhs)):.3g} off)")
+    residual = float(np.max(np.abs(a @ x - rhs)))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+        raise ArithmeticError(f"{where} has residual {residual:.3g}; "
+                              "use the mpf solver")
+    return x
+
+
 def expected_duration_float(params: ModelParams) -> np.ndarray:
-    """float64 version of expected_duration for large n."""
-    q = build_q_float(params)
-    return np.linalg.solve(np.eye(params.n - 1) - q, np.ones(params.n - 1))
+    """float64 version of expected_duration for large n; raises
+    ArithmeticError where float64 cannot be trusted."""
+    return _checked_float_solve(params, np.ones(params.n - 1),
+                                "expected duration")
 
 
 def expected_size_float(params: ModelParams) -> np.ndarray:
-    """float64 version of expected_size for large n."""
-    q = build_q_float(params)
-    rhs = np.arange(1, params.n, dtype=float)
-    return np.linalg.solve(np.eye(params.n - 1) - q, rhs)
+    """float64 version of expected_size for large n; raises
+    ArithmeticError where float64 cannot be trusted."""
+    return _checked_float_solve(params, np.arange(1, params.n, dtype=float),
+                                "expected size")

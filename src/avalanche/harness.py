@@ -1,9 +1,11 @@
-"""Experiment harness: configuration, Monte Carlo with replicate-keyed
+"""Experiment harness: configuration, Monte Carlo with block-keyed
 streams, bound-verification campaigns, and figure-data regeneration.
 
-Every experiment derives the stream of replicate r from
-(master_seed, r), so estimates are bit-identical for any worker count
-and any scheduling order.
+Trajectory experiments cut their replicates into blocks of BLOCK_SIZE
+and run block b in lockstep on the stream keyed (master_seed, b); the
+coupling campaign keys path r by (master_seed, r).  Either way the
+estimates are bit-identical for any worker count and any scheduling
+order.
 """
 
 import concurrent.futures
@@ -24,7 +26,7 @@ from .coupling import (simulate_coupled, step_coupled_maximal, tv_exact,
                        step_divergence_bound, _poisson_pmf_truncated)
 from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
                     expected_duration, expected_size)
-from .model import ModelParams, kernel_row, simulate_count
+from .model import ModelParams, binomial_step, kernel_row, run_block
 from .rng import replicate_rng
 
 SCHEMA_VERSION = 1
@@ -111,14 +113,14 @@ class EstimateWithCI:
         return self.point - z * self.stderr, self.point + z * self.stderr
 
 
-def _trajectory_chunk(args):
-    n, p, i0, seed, lo, hi, max_steps = args
-    params = ModelParams(n, p)
-    out = np.empty((hi - lo, 4), dtype=np.int64)
-    for r in range(lo, hi):
-        t = simulate_count(params, i0, replicate_rng(seed, r), max_steps)
-        out[r - lo] = (t.duration, t.size, t.max, int(t.truncated))
-    return lo, out
+# Replicates per block: block b of every experiment draws from the stream
+# keyed (master_seed, b), so it must not depend on workers or replicates.
+BLOCK_SIZE = 4096
+
+
+def _trajectory_block(args):
+    params, i0, seed, block, size, max_steps = args
+    return run_block(params, i0, size, replicate_rng(seed, block), max_steps)
 
 
 def run_trajectories(params: ModelParams, i0: int, replicates: int,
@@ -126,23 +128,21 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
                      max_steps: int = 10 ** 6) -> np.ndarray:
     """Simulate; returns an array of (T, S, max, truncated) rows.
 
-    Row r always comes from the stream keyed (master_seed, r),
-    regardless of how the chunks are scheduled.
+    Rows b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 form block b, run in
+    lockstep by ``run_block`` on the stream keyed (master_seed, b).  A
+    full block's rows are therefore the same for any worker count and
+    any total number of replicates; a final partial block is a smaller
+    run of its own on the same stream.
     """
-    chunk = max(1, math.ceil(replicates / max(workers * 4, 1)))
-    tasks = [(params.n, params.p, i0, master_seed, lo,
-              min(lo + chunk, replicates), max_steps)
-             for lo in range(0, replicates, chunk)]
-    out = np.empty((replicates, 4), dtype=np.int64)
-    if workers == 1:
-        for task in tasks:
-            lo, block = _trajectory_chunk(task)
-            out[lo: lo + len(block)] = block
+    tasks = [(params, i0, master_seed, b, min(BLOCK_SIZE, replicates - lo),
+              max_steps)
+             for b, lo in enumerate(range(0, replicates, BLOCK_SIZE))]
+    if workers == 1 or len(tasks) == 1:
+        blocks = [_trajectory_block(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            for lo, block in pool.map(_trajectory_chunk, tasks):
-                out[lo: lo + len(block)] = block
-    return out
+            blocks = list(pool.map(_trajectory_block, tasks))
+    return np.concatenate(blocks or [np.empty((0, 4), dtype=np.int64)])
 
 
 def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
@@ -191,9 +191,7 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
         active = (x > 0) & ~reached
         if not active.any():
             break
-        xa = x[active]
-        s = -np.expm1(xa * logq)
-        xa = rng.binomial(n - xa, s)
+        xa = binomial_step(n, logq, x[active], rng)
         reached[np.flatnonzero(active)[xa >= j_level]] = True
         x[active] = xa
     else:
@@ -218,8 +216,7 @@ def simulate_scaled_chain(params: ModelParams, x0_count: int, steps: int,
     path[:, 0] = x / params.n
     logq = math.log1p(-params.p)
     for k in range(steps):
-        s = -np.expm1(x * logq)
-        x = rng.binomial(params.n - x, s)
+        x = binomial_step(params.n, logq, x, rng)
         path[:, k + 1] = x / params.n
     return path
 
@@ -376,9 +373,7 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
             reports.extend(_drift_reports(params))
             surv = _float_survival(params, 10)
             q = build_q_float(params)
-            eye = np.eye(n - 1)
-            et = np.linalg.solve(eye - q, np.ones(n - 1))
-            es = np.linalg.solve(eye - q, np.arange(1.0, n))
+            es = np.linalg.solve(np.eye(n - 1) - q, np.arange(1.0, n))
             for i0 in i0_grid:
                 eh0 = i0 * (n - i0)
                 for k in (1, 3, 5):
@@ -458,7 +453,14 @@ def reach_probability_float(params: ModelParams, j_level: int) -> np.ndarray:
     rows = [kernel_row(params, i) for i in range(1, j_level)]
     q = np.array([r[1: j_level] for r in rows])
     b = np.array([r[j_level:].sum() for r in rows])
-    return np.linalg.solve(np.eye(j_level - 1) - q, b)
+    h = np.linalg.solve(np.eye(j_level - 1) - q, b)
+    # rounding may carry a probability a few ulps past [0, 1]; more is a
+    # failed solve
+    if not ((h >= -1e-8) & (h <= 1 + 1e-8)).all():
+        raise ArithmeticError(
+            f"float64 reach probability escaped [0, 1] at n={n}, "
+            f"p={params.p}, level {j_level}")
+    return np.clip(h, 0.0, 1.0)
 
 
 def cmd_verify(config: ExperimentConfig) -> dict:

@@ -174,7 +174,10 @@ DEFAULT_MAX_STEPS = 10 ** 6
 
 def simulate_count(params: ModelParams, i0: int, rng: np.random.Generator,
                    max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
-    """Run the count chain from i0 until absorption (or the safety cap)."""
+    """Run the count chain from i0 until absorption (or the safety cap).
+
+    The path-returning scalar reference for ``run_block``.
+    """
     if not 1 <= i0 <= params.n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
     states = [i0]
@@ -187,33 +190,91 @@ def simulate_count(params: ModelParams, i0: int, rng: np.random.Generator,
     return Trajectory(np.array(states), truncated=True)
 
 
+# Below this many live replicates a vectorized step costs more than
+# stepping the survivors one by one: an array binomial draw carries about
+# 15 us of fixed overhead (argument checks), a scalar one about 1 us.
+_SCALAR_TAIL = 16
+
+
+def binomial_step(n: int, logq: float, x: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One transition of every count in ``x``; ``logq`` is log(1 - p).
+
+    The draws are ``Binomial(n - x, 1 - q**x)`` elementwise, taken from
+    ``rng`` in array order.
+    """
+    return rng.binomial(n - x, -np.expm1(x * logq))
+
+
+def run_block(params: ModelParams, i0: int, size: int,
+              rng: np.random.Generator,
+              max_steps: int = DEFAULT_MAX_STEPS) -> np.ndarray:
+    """Run ``size`` replicates from i0 in lockstep; (T, S, max, truncated) rows.
+
+    Every step draws the live replicates with one ``binomial_step`` and
+    drops those absorbed.  Once at most ``_SCALAR_TAIL`` are left, each
+    survivor in turn, in row order, finishes with scalar draws from the
+    same generator.  A replicate alive after ``max_steps`` steps has
+    T = max_steps, truncated = 1, and S and max over x_0..x_max_steps,
+    as in ``simulate_count``.
+    """
+    n = params.n
+    if not 1 <= i0 <= n - 1:
+        raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
+    logq = math.log1p(-params.p)
+    out = np.zeros((size, 4), dtype=np.int64)
+    rows = np.arange(size)
+    x = np.full(size, i0, dtype=np.int64)
+    total = x.copy()
+    peak = x.copy()
+    t = 0
+    while len(rows) > _SCALAR_TAIL and t < max_steps:
+        x = binomial_step(n, logq, x, rng)
+        t += 1
+        total += x
+        np.maximum(peak, x, out=peak)
+        if not x.all():
+            dead = x == 0
+            gone = rows[dead]
+            out[gone, 0] = t
+            out[gone, 1] = total[dead]
+            out[gone, 2] = peak[dead]
+            live = ~dead
+            rows, x, total, peak = rows[live], x[live], total[live], peak[live]
+    for r, xi, si, mi in zip(rows.tolist(), x.tolist(), total.tolist(),
+                             peak.tolist()):
+        ti = t
+        while xi and ti < max_steps:
+            xi = int(rng.binomial(n - xi, -math.expm1(xi * logq)))
+            ti += 1
+            si += xi
+            if xi > mi:
+                mi = xi
+        out[r] = (ti, si, mi, xi != 0)
+    return out
+
+
 def simulate_set(params: ModelParams, a0: frozenset, rng: np.random.Generator,
                  max_steps: int = DEFAULT_MAX_STEPS) -> list[frozenset]:
     """Run the set-level chain from the excited set a0 (labels 1..n).
 
     Returns the sequence A_0, A_1, ..., ending with the empty set unless
-    the cap is hit.  The excited set is kept as a bitmask internally.
+    the cap is hit.  The excited set is kept as a boolean array over the
+    nodes internally.
     """
     n = params.n
     if not a0 or len(a0) >= n:
         raise ValueError("initial set must be neither empty nor all nodes")
     if not all(1 <= v <= n for v in a0):
         raise ValueError("node labels must lie in 1..n")
-    mask = 0
-    for v in a0:
-        mask |= 1 << (v - 1)
+    excited = np.zeros(n, dtype=bool)
+    excited[[v - 1 for v in a0]] = True
     labels = np.arange(1, n + 1)
-    bits = 1 << np.arange(n, dtype=object)
     path = [frozenset(a0)]
     for _ in range(max_steps):
-        size = bin(mask).count("1")
-        if size == 0:
-            break
-        s = excite_probability(params, size)
-        resting = (mask & bits) == 0
-        hit = resting & (rng.random(n) < s)
-        mask = int(np.sum(bits[hit])) if hit.any() else 0
-        path.append(frozenset(labels[hit].tolist()))
-        if mask == 0:
+        s = excite_probability(params, int(excited.sum()))
+        excited = ~excited & (rng.random(n) < s)
+        path.append(frozenset(labels[excited].tolist()))
+        if not excited.any():
             break
     return path

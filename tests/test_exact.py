@@ -183,6 +183,12 @@ class TestReachAndMax:
         assert all(v == 0 for v in pmf[:2])
         assert abs(mp.fsum(pmf) - 1) < 1e-30
 
+    def test_max_distribution_sums_to_one_at_working_precision(self):
+        system = small_system(n=10, c=1.0)
+        pmf = max_distribution(system, 1)
+        with mp.workdps(60):
+            assert abs(mp.fsum(pmf) - 1) < mp.mpf(10) ** -30
+
     def test_reach_vs_brute_force_power(self):
         # P(max >= J) = lim_m P(hit [J, n] within m steps); iterate the
         # absorbing-at-J kernel as an independent comparator
@@ -200,6 +206,13 @@ class TestReachAndMax:
 
 
 class TestFloatShortcuts:
+    def test_ill_conditioned_supercritical_solve_raises(self):
+        # float64 returned E(T|1) = -7.7e13 here
+        params = ModelParams.from_intensity(200, 2.0)
+        for solve in (expected_duration_float, expected_size_float):
+            with pytest.raises(ArithmeticError):
+                solve(params)
+
     def test_q_matrix_shape_and_mass(self):
         params = ModelParams.from_intensity(40, 1.0)
         q = build_q_float(params)

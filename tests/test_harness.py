@@ -10,8 +10,8 @@ import pytest
 from avalanche import bounds as bc
 from avalanche import harness
 from avalanche.cli import main
-from avalanche.exact import expected_duration_float
-from avalanche.model import ModelParams, kernel_row
+from avalanche.exact import expected_duration_float, expected_size_float
+from avalanche.model import ModelParams, kernel_row, run_block
 from avalanche.rng import replicate_rng
 
 
@@ -54,17 +54,39 @@ class TestEstimate:
 class TestTrajectories:
     def test_worker_count_does_not_change_results(self):
         params = ModelParams.from_intensity(50, 1.0)
-        a = harness.run_trajectories(params, 2, 40, 77, workers=1)
-        b = harness.run_trajectories(params, 2, 40, 77, workers=3)
-        np.testing.assert_array_equal(a, b)
+        reps = 2 * harness.BLOCK_SIZE + 40  # two full blocks and a partial
+        a = harness.run_trajectories(params, 2, reps, 77, workers=1)
+        for workers in (2, 3):
+            b = harness.run_trajectories(params, 2, reps, 77, workers=workers)
+            np.testing.assert_array_equal(a, b)
 
-    def test_rows_keyed_by_replicate(self):
+    def test_rows_keyed_by_block(self):
         params = ModelParams.from_intensity(50, 1.0)
-        stats = harness.run_trajectories(params, 2, 10, 77)
-        from avalanche.model import simulate_count
-        t = simulate_count(params, 2, replicate_rng(77, 4))
-        assert tuple(stats[4]) == (t.duration, t.size, t.max,
-                                   int(t.truncated))
+        size = harness.BLOCK_SIZE
+        direct = run_block(params, 2, size, replicate_rng(77, 1), 10 ** 6)
+        for reps in (2 * size, 2 * size + 10):
+            stats = harness.run_trajectories(params, 2, reps, 77)
+            np.testing.assert_array_equal(stats[size: 2 * size], direct)
+
+    def test_cap_truncates_every_row(self):
+        params = ModelParams.from_intensity(100, 5.0)
+        stats = harness.run_trajectories(params, 50, 200, 4, max_steps=3)
+        assert (stats[:, 0] == 3).all()
+        assert (stats[:, 3] == 1).all()
+        # S and max run over x_0..x_3, all of them positive
+        assert (stats[:, 2] >= 50).all()
+        assert (stats[:, 1] >= stats[:, 2] + 3).all()
+
+    @pytest.mark.parametrize("n,c,reps", [(30, 2.0, 40),       # scalar tail
+                                          (50, 0.9, 20000)])   # lockstep
+    def test_means_match_float_solves(self, n, c, reps):
+        params = ModelParams.from_intensity(n, c)
+        stats = harness.run_trajectories(params, 1, reps, 13)
+        assert not stats[:, 3].any()
+        for column, ref in ((0, expected_duration_float(params)[0]),
+                            (1, expected_size_float(params)[0])):
+            est = harness.EstimateWithCI.from_samples(stats[:, column])
+            assert abs(est.point - ref) < 5 * est.stderr
 
     def test_size_pmf_normalized(self):
         params = ModelParams.from_intensity(50, 0.8)
@@ -80,6 +102,11 @@ class TestTrajectories:
         reach = harness.reach_fraction(params, 1, 5, 2000, 5)
         ref = harness.reach_probability_float(params, 5)[0]
         assert abs(reach.point - ref) < 4 * reach.stderr + 1e-9
+
+    def test_reach_probability_float_stays_in_unit_interval(self):
+        params = ModelParams.from_intensity(1000, 1.5)
+        h = harness.reach_probability_float(params, 100)
+        assert ((h >= 0) & (h <= 1)).all()
 
     def test_first_passage_matches_exact_reach(self):
         # supercritical case, where full-absorption simulation is not an

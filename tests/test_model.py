@@ -10,8 +10,9 @@ from scipy.stats import binom
 
 from avalanche.model import (ModelParams, Trajectory, conditional_moments,
                              excite_probability, kernel_pmf,
-                             kernel_pmf_exact, kernel_row, simulate_count,
-                             simulate_set, step_count)
+                             kernel_pmf_exact, kernel_row, run_block,
+                             simulate_count, simulate_set, step_count)
+from avalanche.model import _SCALAR_TAIL
 from avalanche.rng import replicate_rng
 
 
@@ -161,6 +162,26 @@ class TestSimulation:
         t = simulate_count(params, 50, replicate_rng(1, 0), max_steps=1)
         # one step cannot absorb a half-full strongly supercritical chain
         assert t.truncated or t.states[-1] == 0
+
+    @pytest.mark.parametrize("n,c,i0,max_steps", [(60, 1.2, 2, 10 ** 6),
+                                                  (100, 5.0, 50, 3)])
+    def test_scalar_block_replays_simulate_count(self, n, c, i0, max_steps):
+        # a block no larger than the scalar tail steps each replicate in
+        # turn, with the same draws simulate_count makes
+        params = ModelParams.from_intensity(n, c)
+        rows = run_block(params, i0, _SCALAR_TAIL, replicate_rng(3, 0),
+                         max_steps)
+        rng = replicate_rng(3, 0)
+        for row in rows:
+            t = simulate_count(params, i0, rng, max_steps)
+            assert tuple(row) == (t.duration, t.size, t.max,
+                                  int(t.truncated))
+
+    def test_run_block_rejects_absorbed_or_full_start(self):
+        params = ModelParams(10, 0.1)
+        for i0 in (0, 10):
+            with pytest.raises(ValueError):
+                run_block(params, i0, 5, replicate_rng(0, 0))
 
     def test_step_count_edges(self):
         params = ModelParams(10, 0.5)
