@@ -8,11 +8,10 @@ constant B in the maxima estimates) accept the missing pieces as
 explicit user-supplied slack and mark the report as partial.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
-from .branching import (agresti_duration_bounds, duration_tail_r,
-                        duration_tail_s, extinction_prob)
+from .branching import agresti_duration_bounds, extinction_prob
 
 HOLDS = "holds"
 VIOLATED = "violated"

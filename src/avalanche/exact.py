@@ -13,7 +13,6 @@ is prohibitive.
 """
 
 from dataclasses import dataclass
-import math
 
 import mpmath as mp
 import numpy as np
@@ -256,34 +255,28 @@ def max_distribution(system: SubstochasticSystem, i0: int,
     return pmf
 
 
-def build_q_float(params: ModelParams) -> np.ndarray:
-    """Transient kernel Q as a float64 matrix (rows/cols are 1..n-1)."""
+def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
+    """Transient kernel Q as a float64 matrix over states 1..n-1, or its
+    first ``rows`` rows (states 1..rows)."""
     n = params.n
-    q = np.empty((n - 1, n - 1))
-    for i in range(1, n):
+    rows = n - 1 if rows is None else rows
+    q = np.empty((rows, n - 1))
+    for i in range(1, rows + 1):
         q[i - 1] = kernel_row(params, i)[1:n]
     return q
 
 
-def _checked_float_solve(params: ModelParams, rhs: np.ndarray,
-                         what: str) -> np.ndarray:
-    """Solve (I-Q)x = rhs in float64; raise unless x >= rhs and the
+def _checked_float_solve(a: np.ndarray, rhs: np.ndarray,
+                         where: str) -> np.ndarray:
+    """Solve a x = rhs in float64; raise unless x is finite and the
     residual is below 1e-8 * max(1, |rhs|_inf).
 
-    Both expected duration and size satisfy x >= rhs, since the chain
-    spends at least the first step (and that step's count) in i.  Near
-    and above the transition I - Q can be too ill-conditioned for
-    float64, and the solve then returns garbage, negative values
-    included.
-    """
-    a = np.eye(params.n - 1) - build_q_float(params)
+    Near and above the transition I - Q can be too ill-conditioned for
+    float64: the solve then returns garbage, negative values included.
+    Callers check their own invariants on top."""
     x = np.linalg.solve(a, rhs)
-    where = f"float64 {what} at n={params.n}, p={params.p}"
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
-    if (x < rhs).any():
-        raise ArithmeticError(f"{where} falls below its floor "
-                              f"(min {float(np.min(x - rhs)):.3g} off)")
     residual = float(np.max(np.abs(a @ x - rhs)))
     if residual > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
         raise ArithmeticError(f"{where} has residual {residual:.3g}; "
@@ -291,15 +284,26 @@ def _checked_float_solve(params: ModelParams, rhs: np.ndarray,
     return x
 
 
+def _float_expectation(params: ModelParams, q: np.ndarray, rhs: np.ndarray,
+                       what: str) -> np.ndarray:
+    """Checked (I-Q)^-1 rhs, at least rhs as the chain starts in i."""
+    where = f"float64 {what} at n={params.n}, p={params.p}"
+    x = _checked_float_solve(np.eye(len(q)) - q, rhs, where)
+    if (x < rhs).any():
+        raise ArithmeticError(f"{where} falls below its floor "
+                              f"(min {float(np.min(x - rhs)):.3g} off)")
+    return x
+
+
 def expected_duration_float(params: ModelParams) -> np.ndarray:
     """float64 version of expected_duration for large n; raises
     ArithmeticError where float64 cannot be trusted."""
-    return _checked_float_solve(params, np.ones(params.n - 1),
-                                "expected duration")
+    return _float_expectation(params, build_q_float(params),
+                              np.ones(params.n - 1), "expected duration")
 
 
 def expected_size_float(params: ModelParams) -> np.ndarray:
     """float64 version of expected_size for large n; raises
     ArithmeticError where float64 cannot be trusted."""
-    return _checked_float_solve(params, np.arange(1, params.n, dtype=float),
-                                "expected size")
+    return _float_expectation(params, build_q_float(params),
+                              np.arange(1.0, params.n), "expected size")

@@ -13,19 +13,20 @@ import configparser
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from . import bounds as bc
 from . import meanfield as mf
-from .branching import (agresti_duration_bounds, extinction_prob,
-                        gw_extinct_by, lindvall_max_bound)
+from .branching import (agresti_duration_bounds, gw_extinct_by,
+                        lindvall_max_bound)
 from .coupling import (simulate_coupled, step_coupled_maximal, tv_exact,
                        step_divergence_bound, _poisson_pmf_truncated)
 from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
-                    expected_duration, expected_size)
+                    expected_duration, expected_size, _checked_float_solve,
+                    _float_expectation)
 from .model import ModelParams, binomial_step, kernel_row, run_block
 from .rng import replicate_rng
 
@@ -242,7 +243,7 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
         "truncated": int((~ok).sum()),
     }
     if config.out:
-        rows = [[r, *stats[r]] for r in range(len(stats))]
+        rows = np.column_stack([np.arange(len(stats)), stats]).tolist()
         for name in ("duration", "size", "max"):
             est = summary[name]
             rows.append([f"summary_{name}", est.point, est.stderr,
@@ -322,17 +323,16 @@ def cmd_figure(config: ExperimentConfig) -> dict:
     return curves
 
 
-def _drift_reports(params: ModelParams) -> list[bc.BoundReport]:
-    """Exact one-step supermartingale and heterogeneity drift checks."""
+def _drift_reports(params: ModelParams, q: np.ndarray) -> list:
+    """Exact one-step supermartingale and heterogeneity drift checks.
+
+    Q @ f is E(f(X_1) | X_0 = i) for f(j) = j and j(n - j): a row i >= 1
+    puts no mass on n, and f(0) = 0."""
     n, c = params.n, params.c
-    j = np.arange(n + 1, dtype=float)
-    worst_mean, worst_het = -math.inf, -math.inf
-    for i in range(1, n):
-        row = kernel_row(params, i)
-        worst_mean = max(worst_mean, float(row @ j) - c * i)
-        worst_het = max(worst_het,
-                        float(row @ (j * (n - j))) - c * i * (n - i))
-    reports = [
+    i = np.arange(1.0, n)
+    worst_mean = float(np.max(q @ i - c * i))
+    worst_het = float(np.max(q @ (i * (n - i)) - c * i * (n - i)))
+    return [
         bc.BoundReport("supermartingale_drift", {"n": n, "p": params.p},
                        upper=0.0, reference_value=worst_mean,
                        reference_error=1e-9 * n * c).judge(),
@@ -340,23 +340,21 @@ def _drift_reports(params: ModelParams) -> list[bc.BoundReport]:
                        upper=0.0, reference_value=worst_het,
                        reference_error=1e-9 * n * n * c).judge(),
     ]
-    return reports
 
 
-def _float_survival(params: ModelParams, m_max: int) -> np.ndarray:
-    """P(T > m | X_0 = i) for m = 0..m_max, shape (m_max+1, n-1), float64."""
-    q = build_q_float(params)
-    v = np.ones(params.n - 1)
+def _q_powers(q: np.ndarray, v: np.ndarray, m_max: int) -> np.ndarray:
+    """Q^m v for m = 0..m_max: P(T > m | X_0 = i) for v = 1 and, as in
+    ``_drift_reports``, E(X_m | X_0 = i) for v = (1, ..., n-1)."""
     out = [v]
     for _ in range(m_max):
-        v = q @ v
-        out.append(v)
+        out.append(q @ out[-1])
     return np.array(out)
 
 
 def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                     i0_grid=(1, 2)) -> list[bc.BoundReport]:
-    """Run every applicable bound against exact comparators on a grid."""
+    """Run every applicable bound against exact comparators on a grid;
+    the finite-n references all come from one float64 Q per (n, c)."""
     reports = []
     for c in c_grid:
         for i0 in i0_grid:
@@ -370,19 +368,19 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
     for n in n_grid:
         for c in c_grid:
             params = ModelParams.from_intensity(n, c)
-            reports.extend(_drift_reports(params))
-            surv = _float_survival(params, 10)
             q = build_q_float(params)
-            es = np.linalg.solve(np.eye(n - 1) - q, np.arange(1.0, n))
+            reports.extend(_drift_reports(params, q))
+            surv = _q_powers(q, np.ones(n - 1), 10)
+            means = _q_powers(q, np.arange(1.0, n), 5)
+            es = _float_expectation(params, q, np.arange(1.0, n),
+                                    "expected size") if c < 1.0 else None
             for i0 in i0_grid:
                 eh0 = i0 * (n - i0)
                 for k in (1, 3, 5):
-                    exact_mean = float(
-                        kernel_power_mean(params, i0, k))
                     reports.append(bc.BoundReport(
                         "mean_decay", {"n": n, "c": c, "i0": i0, "k": k},
                         upper=bc.mean_decay_bound(params, eh0, k),
-                        reference_value=exact_mean,
+                        reference_value=float(means[k][i0 - 1]),
                         reference_error=1e-9).judge())
                     naive, refined = bc.survival_bounds(params, eh0, k)
                     reports.append(bc.BoundReport(
@@ -411,7 +409,7 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                     reports.append(rep.judge())
                 if c <= 1.0:
                     for m in (max(5, i0 + 1), 10, 15):
-                        tail = reach_probability_float(params, m + 1)
+                        tail = _reach_float(params, q, m + 1)
                         ref = float(tail[i0 - 1]) if i0 <= m else 1.0
                         if c == 1.0:
                             rep = bc.maxima_bounds(params, i0, m)
@@ -431,36 +429,34 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
 
 
 def kernel_power_mean(params: ModelParams, i0: int, k: int) -> float:
-    """Exact E(X_k | X_0 = i0) by iterating the kernel on the identity."""
+    """Exact E(X_k | X_0 = i0), from k products of Q with (1, ..., n-1)."""
     n = params.n
-    v = np.arange(n + 1, dtype=float)  # E(X_k | X_{k} = j) = j at depth 0
-    for _ in range(k):
-        w = np.empty(n + 1)
-        w[0] = 0.0
-        w[n] = 0.0
-        for i in range(1, n):
-            row = kernel_row(params, i)
-            w[i] = float(row @ v)
-        v = w
-    return v[i0]
+    if i0 in (0, n):
+        return float(i0) if k == 0 else 0.0
+    v = _q_powers(build_q_float(params), np.arange(1.0, n), k)
+    return float(v[k][i0 - 1])
+
+
+def _reach_float(params: ModelParams, q: np.ndarray,
+                 j_level: int) -> np.ndarray:
+    """P(max >= j_level | X_0 = i), i = 1..j_level-1, from the rows of
+    Q below the level (1 < j_level <= n)."""
+    lev = j_level - 1
+    where = f"float64 reach of level {j_level} at n={params.n}, p={params.p}"
+    h = _checked_float_solve(np.eye(lev) - q[:lev, :lev],
+                             q[:lev, lev:].sum(axis=1), where)
+    # rounding may carry a probability a few ulps past [0, 1]; more is a
+    # failed solve
+    if not ((h >= -1e-8) & (h <= 1 + 1e-8)).all():
+        raise ArithmeticError(f"{where} escaped [0, 1]")
+    return np.clip(h, 0.0, 1.0)
 
 
 def reach_probability_float(params: ModelParams, j_level: int) -> np.ndarray:
     """float64 P(max >= j_level | X_0 = i), i = 1..j_level-1."""
-    n = params.n
-    if j_level > n:
+    if not 1 < j_level <= params.n:
         return np.zeros(max(j_level - 1, 0))
-    rows = [kernel_row(params, i) for i in range(1, j_level)]
-    q = np.array([r[1: j_level] for r in rows])
-    b = np.array([r[j_level:].sum() for r in rows])
-    h = np.linalg.solve(np.eye(j_level - 1) - q, b)
-    # rounding may carry a probability a few ulps past [0, 1]; more is a
-    # failed solve
-    if not ((h >= -1e-8) & (h <= 1 + 1e-8)).all():
-        raise ArithmeticError(
-            f"float64 reach probability escaped [0, 1] at n={n}, "
-            f"p={params.p}, level {j_level}")
-    return np.clip(h, 0.0, 1.0)
+    return _reach_float(params, build_q_float(params, j_level - 1), j_level)
 
 
 def cmd_verify(config: ExperimentConfig) -> dict:

@@ -7,7 +7,7 @@ absorbing state.  The set-level process tracks which nodes are excited;
 its cardinality process has exactly the count-level kernel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 

@@ -26,7 +26,7 @@ from avalanche.coupling import (_poisson_pmf_truncated, simulate_coupled,
                                 step_coupled_maximal, step_divergence_bound,
                                 tv_exact)
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
-                             expected_duration, expected_size,
+                             build_q_float, expected_duration, expected_size,
                              expected_size_float)
 from avalanche.model import ModelParams, kernel_row
 from avalanche.rng import replicate_rng
@@ -128,7 +128,7 @@ def test_criterion_05_agresti_sandwich():
     n = 200
     for c in (0.5, 1.0, 2.0):
         params = ModelParams.from_intensity(n, c)
-        surv = harness._float_survival(params, 20)
+        surv = harness._q_powers(build_q_float(params), np.ones(n - 1), 20)
         for i0 in (1, 3):
             for m in range(1, 21):
                 rep = bc.duration_bounds_single(params, i0, m)
@@ -200,8 +200,8 @@ def test_criterion_08_drift_identities():
     bad = []
     for n in (10, 25, 50, 100, 200):
         for c in (0.5, 1.0, 1.5, 2.0):
-            for rep in harness._drift_reports(
-                    ModelParams.from_intensity(n, c)):
+            params = ModelParams.from_intensity(n, c)
+            for rep in harness._drift_reports(params, build_q_float(params)):
                 if rep.satisfied == bc.VIOLATED:
                     bad.append((rep.name, n, c))
     ok = not bad
@@ -294,7 +294,7 @@ def test_criterion_10_partial_flags():
     silent_ok = all(r.satisfied != bc.HOLDS for r in flagged)
     # the constructive part still judges correctly when a reference exists
     params = ModelParams.from_intensity(150, 1.5)
-    surv = harness._float_survival(params, 3)
+    surv = harness._q_powers(build_q_float(params), np.ones(149), 3)
     sup2 = bc.duration_bounds_single(params, 1, 3)
     sup2.reference_value = 1.0 - float(surv[3][0])
     sup2.reference_error = 1e-9

@@ -7,8 +7,7 @@ import pytest
 
 from avalanche import bounds as bc
 from avalanche.branching import extinction_prob, gw_extinct_by
-from avalanche.exact import (expected_size_float, expected_duration_float,
-                             build_q_float)
+from avalanche.exact import build_q_float, expected_size_float
 from avalanche.harness import kernel_power_mean, reach_probability_float
 from avalanche.model import ModelParams
 

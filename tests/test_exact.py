@@ -1,7 +1,5 @@
 """Arbitrary-precision absorbing-chain analytics tests."""
 
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest

@@ -1,8 +1,8 @@
 """Harness, campaign, and CLI tests."""
 
 import csv
+import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ import pytest
 from avalanche import bounds as bc
 from avalanche import harness
 from avalanche.cli import main
-from avalanche.exact import expected_duration_float, expected_size_float
+from avalanche.exact import (build_q_float, expected_duration_float,
+                             expected_size_float)
 from avalanche.model import ModelParams, kernel_row, run_block
 from avalanche.rng import replicate_rng
 
@@ -97,7 +98,7 @@ class TestTrajectories:
     def test_survival_and_reach_fractions(self):
         params = ModelParams.from_intensity(60, 1.0)
         surv = harness.survival_fraction(params, 1, 2000, 5, m=2)
-        ref = harness._float_survival(params, 2)[2][0]
+        ref = harness._q_powers(build_q_float(params), np.ones(59), 2)[2][0]
         assert abs(surv.point - ref) < 4 * surv.stderr + 1e-9
         reach = harness.reach_fraction(params, 1, 5, 2000, 5)
         ref = harness.reach_probability_float(params, 5)[0]
@@ -153,6 +154,26 @@ class TestExactCommands:
         assert rows[0] == ["replicate", "T", "S", "max", "truncated"]
         assert len(rows) == 1 + 200 + 4  # header, rows, summary lines
 
+    def test_cmd_simulate_csv_bytes(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        config = harness.ExperimentConfig(n=40, c=0.9, replicates=300,
+                                          max_steps=3, out=str(out))
+        summary = harness.cmd_simulate(config)
+        assert summary["truncated"] > 0
+        stats = harness.run_trajectories(config.model(), 1, 300,
+                                         config.master_seed, max_steps=3)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["replicate", "T", "S", "max", "truncated"])
+        writer.writerows([r, *map(int, stats[r])] for r in range(300))
+        for name in ("duration", "size", "max"):
+            est = summary[name]
+            writer.writerow([f"summary_{name}", est.point, est.stderr,
+                             est.replicates, ""])
+        writer.writerow(["summary_truncated", summary["truncated"], "", "",
+                         ""])
+        assert out.read_bytes() == ref.getvalue().encode()
+
 
 class TestFigure:
     def test_curves_and_shape_checks(self):
@@ -182,6 +203,32 @@ class TestCampaign:
         assert "supermartingale_drift" in names
         assert "mean_decay" in names
 
+    def test_default_campaign_counts(self):
+        reports = harness.verify_campaign()
+        verdicts = [r.satisfied for r in reports]
+        assert len(reports) == 341
+        assert verdicts.count(bc.HOLDS) == 318
+        assert verdicts.count(bc.INCONCLUSIVE) == 23
+        assert verdicts.count(bc.VIOLATED) == 0
+
+    def test_q_derivations_match_row_loop(self):
+        n, c = 30, 1.1
+        params = ModelParams.from_intensity(n, c)
+        rows = np.array([kernel_row(params, i) for i in range(n + 1)])
+        j = np.arange(n + 1, dtype=float)
+        v = j  # E(X_k | X_0 = i) over i = 0..n, one row product per step
+        for k in range(6):
+            for i0 in range(n + 1):
+                assert harness.kernel_power_mean(params, i0, k) \
+                    == pytest.approx(v[i0], rel=1e-12, abs=1e-12)
+            v = np.array([row @ v for row in rows])
+        worst_mean = max(rows[i] @ j - c * i for i in range(1, n))
+        worst_het = max(rows[i] @ (j * (n - j)) - c * i * (n - i)
+                        for i in range(1, n))
+        drift = harness._drift_reports(params, build_q_float(params))
+        assert [r.reference_value for r in drift] == pytest.approx(
+            [worst_mean, worst_het], rel=1e-12, abs=1e-12)
+
     def test_kernel_power_mean_one_step(self):
         params = ModelParams.from_intensity(30, 1.1)
         j = np.arange(31, dtype=float)
@@ -191,7 +238,8 @@ class TestCampaign:
                 == pytest.approx(ref)
 
     def test_drift_reports_hold(self):
-        reports = harness._drift_reports(ModelParams.from_intensity(60, 1.7))
+        params = ModelParams.from_intensity(60, 1.7)
+        reports = harness._drift_reports(params, build_q_float(params))
         assert all(r.satisfied == bc.HOLDS for r in reports)
 
 
