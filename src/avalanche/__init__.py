@@ -2,18 +2,18 @@
 mean-field approximations, exact absorbing-chain analytics, and the
 catalog of analytical bounds with a Monte Carlo verification harness."""
 
-from .model import ModelParams, Trajectory, kernel_pmf, kernel_row, \
-    simulate_count, simulate_set, conditional_moments
+from .model import ModelParams, Trajectory, kernel_row, simulate_count, \
+    simulate_set, conditional_moments
 from .branching import BranchingParams, extinction_prob, borel_tanner_pmf, \
     gw_simulate, gw_extinct_by, agresti_duration_bounds, lindvall_max_bound
 from .coupling import CoupledPath, simulate_coupled, step_coupled_maximal, \
     tv_binomial_poisson, tv_poisson_poisson
 from .exact import PrecisionConfig, SubstochasticSystem, expected_duration, \
     expected_size, duration_survival, reach_probability, max_distribution
-from .rng import replicate_rng, stream_rng
+from .rng import replicate_rng
 
 __all__ = [
-    "ModelParams", "Trajectory", "kernel_pmf", "kernel_row",
+    "ModelParams", "Trajectory", "kernel_row",
     "simulate_count", "simulate_set", "conditional_moments",
     "BranchingParams", "extinction_prob", "borel_tanner_pmf", "gw_simulate",
     "gw_extinct_by", "agresti_duration_bounds", "lindvall_max_bound",
@@ -21,5 +21,5 @@ __all__ = [
     "tv_binomial_poisson", "tv_poisson_poisson",
     "PrecisionConfig", "SubstochasticSystem", "expected_duration",
     "expected_size", "duration_survival", "reach_probability",
-    "max_distribution", "replicate_rng", "stream_rng",
+    "max_distribution", "replicate_rng",
 ]

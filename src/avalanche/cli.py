@@ -1,11 +1,13 @@
 """Command line interface.
 
 Subcommands: simulate | exact | figure | verify | deterministic | couple.
-A config file (INI key-value, section [experiment]) can seed any run;
-command line flags override file values.
+Each subcommand accepts only the settings its command reads, as flags
+or as keys of a config file (INI key-value, section [experiment]), and
+refuses the rest; flags override file values.
 """
 
 import argparse
+import configparser
 import json
 import sys
 
@@ -14,21 +16,28 @@ import numpy as np
 from . import harness
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file ([experiment] section)")
-    sub.add_argument("--n", type=int, help="node count")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--p", type=float, help="excitation probability")
-    group.add_argument("--c", type=float,
-                       help="intensity c = n*p (excludes --p)")
-    sub.add_argument("--i0", type=int, help="initial excited count")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="ensemble offspring mean")
-    sub.add_argument("--reps", type=int, help="Monte Carlo replicates")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--workers", type=int, help="parallel workers")
-    sub.add_argument("--digits", type=int, help="exact-solver precision")
-    sub.add_argument("--out", help="output file (CSV, or JSON for verify)")
+# Each subcommand: its help, and the settings (harness.SETTINGS) its cmd_*
+# function reads.  Only these are accepted, as flags or as file keys.
+COMMANDS = {
+    "simulate": ("Monte Carlo trajectories; CSV columns replicate,"
+                 "T,S,max,truncated plus summary rows",
+                 ("n", "p", "c", "i0", "replicates", "master_seed",
+                  "workers", "out", "max_steps")),
+    "exact": ("exact expected duration and size; CSV columns "
+              "i,expected_duration,expected_size (full precision)",
+              ("n", "p", "c", "digits", "out")),
+    "figure": ("duration-vs-initial-count curves; CSV columns "
+               "c,i0,expected_duration; exit code 1 iff a shape check "
+               "fails", ("n", "digits", "out", "c_list", "i0_max")),
+    "verify": ("bound-verification campaign; JSON report bundle; "
+               "exit code 1 iff any bound is violated", ("out",)),
+    "deterministic": ("mean-field tables; CSV columns k,psi,phi,"
+                      "branching_factor,innovation_variance",
+                      ("n", "i0", "lam", "out")),
+    "couple": ("monotone and maximal coupling diagnostics (JSON to "
+               "stdout)",
+               ("n", "p", "c", "i0", "replicates", "master_seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,36 +48,30 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV outputs carry a header row and decimal-string values; "
                "verify writes JSON with a schema_version field.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("simulate", "Monte Carlo trajectories; CSV columns replicate,"
-                     "T,S,max,truncated plus summary rows"),
-        ("exact", "exact expected duration and size; CSV columns "
-                  "i,expected_duration,expected_size (full precision)"),
-        ("figure", "duration-vs-initial-count curves; CSV columns "
-                   "c,i0,expected_duration"),
-        ("verify", "bound-verification campaign; JSON report bundle; "
-                   "exit code 1 iff any bound is violated"),
-        ("deterministic", "mean-field tables; CSV columns k,psi,phi,"
-                          "branching_factor,innovation_variance"),
-        ("couple", "monotone and maximal coupling diagnostics (JSON to "
-                   "stdout)"),
-    ]:
-        sub = subs.add_parser(name, help=text, description=text)
-        _add_common(sub)
+    for name, (text, settings) in COMMANDS.items():
+        # no prefix matching: --c must not pass for --config where --c
+        # is not accepted
+        sub = subs.add_parser(name, help=text, description=text,
+                              allow_abbrev=False)
+        sub.add_argument("--config",
+                         help="INI config file ([experiment] section)")
+        p_or_c = sub.add_mutually_exclusive_group()
+        for field in settings:
+            flag, kind, flag_help = harness.SETTINGS[field]
+            if flag:
+                (p_or_c if field in ("p", "c") else sub).add_argument(
+                    flag, dest=field, type=kind, help=flag_help,
+                    metavar=flag[2:].upper())
     return parser
 
 
 def config_from_args(args) -> harness.ExperimentConfig:
-    overrides = {
-        "n": args.n, "p": args.p, "c": args.c, "i0": args.i0,
-        "lam": args.lam, "replicates": args.reps,
-        "master_seed": args.seed, "workers": args.workers,
-        "digits": args.digits, "out": args.out,
-    }
+    given = {k: v for k, v in vars(args).items()
+             if k in harness.SETTINGS and v is not None}
     if args.config:
-        return harness.ExperimentConfig.from_file(args.config, **overrides)
-    return harness.ExperimentConfig(
-        **{k: v for k, v in overrides.items() if v is not None})
+        return harness.ExperimentConfig.from_file(
+            args.config, keys=COMMANDS[args.command][1], **given)
+    return harness.ExperimentConfig(**given)
 
 
 def _jsonable(obj):
@@ -85,8 +88,12 @@ def _jsonable(obj):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except (OSError, ValueError, configparser.Error) as exc:
+        parser.error(f"{args.command}: {exc}")
     if args.command == "simulate":
         print(json.dumps(_jsonable(harness.cmd_simulate(config))))
     elif args.command == "exact":
@@ -99,7 +106,11 @@ def main(argv=None) -> int:
             print(f"... {len(et) - show} more rows (use --out for the "
                   "full table)", file=sys.stderr)
     elif args.command == "figure":
-        curves = harness.cmd_figure(config)
+        try:
+            curves = harness.cmd_figure(config)
+        except AssertionError as exc:
+            print(f"figure shape check failed: {exc}", file=sys.stderr)
+            return 1
         for c, vals in curves.items():
             print(f"c={c}: E(T|1)={vals[0]:.6g} "
                   f"E(T|{len(vals)})={vals[-1]:.6g}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .model import ModelParams, excite_probability, kernel_row
 
@@ -128,11 +128,16 @@ def tv_exact(pmf1: np.ndarray, pmf2: np.ndarray) -> float:
 
 
 def _poisson_pmf_truncated(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson pmf out to cumulative mass 1 - tail_tol."""
+    """Poisson pmf out to cumulative mass 1 - tail_tol.
+
+    The cut is one past the smallest k with P(K > k) <= tail_tol; the
+    search window below holds it for any tail_tol >= 1e-70."""
     if mean == 0.0:
         return np.array([1.0])
-    hi = int(poisson.isf(tail_tol, mean)) + 1
-    return poisson.pmf(np.arange(hi + 1), mean)
+    k = np.arange(int(mean + 20 * math.sqrt(mean)) + 40)
+    hi = int(np.argmax(pdtrc(k, mean) <= tail_tol)) + 1
+    k = np.arange(hi + 1)
+    return np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
 
 
 def step_divergence_bound(c: float, i: int, n: int) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy.special import ndtri
 
 from . import bounds as bc
 from . import meanfield as mf
@@ -31,6 +32,26 @@ from .model import ModelParams, binomial_step, kernel_row, run_block
 from .rng import replicate_rng
 
 SCHEMA_VERSION = 1
+
+
+# Every setting once: ExperimentConfig field -> (command line flag, or None
+# for a file-only key; type; flag help).  A config file key is the field
+# name.
+SETTINGS = {
+    "n": ("--n", int, "node count"),
+    "p": ("--p", float, "excitation probability"),
+    "c": ("--c", float, "intensity c = n*p (excludes --p)"),
+    "i0": ("--i0", int, "initial excited count"),
+    "lam": ("--lambda", float, "ensemble offspring mean"),
+    "replicates": ("--reps", int, "Monte Carlo replicates"),
+    "master_seed": ("--seed", int, "master seed"),
+    "workers": ("--workers", int, "parallel workers"),
+    "digits": ("--digits", int, "exact-solver precision"),
+    "out": ("--out", str, "output file (CSV, or JSON for verify)"),
+    "max_steps": (None, int, None),
+    "c_list": (None, lambda text: tuple(map(float, text.split(","))), None),
+    "i0_max": (None, int, None),
+}
 
 
 @dataclass(frozen=True)
@@ -67,26 +88,30 @@ class ExperimentConfig:
         raise ValueError("one of p or c must be set")
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Load a key-value config file; keyword overrides win."""
+    def from_file(cls, path: str, *, keys=tuple(SETTINGS),
+                  **overrides) -> "ExperimentConfig":
+        """Load a key-value config file; keyword overrides win.
+
+        Raises ValueError on a section other than [experiment] and on a
+        key outside ``keys``, the settings the caller reads (by default
+        every setting)."""
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
-        sec = parser["experiment"] if parser.has_section("experiment") \
-            else parser[parser.default_section]
+        sections = parser.sections()
+        if sections not in ([], ["experiment"]):
+            raise ValueError(f"{path}: sections {sections}; the keys go in "
+                             "one [experiment] section")
+        sec = parser[sections[0] if sections else parser.default_section]
         kwargs = {}
-        for key in ("n", "i0", "replicates", "master_seed", "workers",
-                    "digits", "max_steps", "i0_max"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
-        for key in ("p", "c", "lam"):
-            if key in sec:
-                kwargs[key] = sec.getfloat(key)
-        if "out" in sec:
-            kwargs["out"] = sec.get("out")
-        if "c_list" in sec:
-            kwargs["c_list"] = tuple(
-                float(v) for v in sec.get("c_list").split(","))
+        for key, text in sec.items():
+            if key not in keys:
+                raise ValueError(f"{path}: key {key!r} is not accepted here; "
+                                 f"accepted keys: {', '.join(keys)}")
+            try:
+                kwargs[key] = SETTINGS[key][1](text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: key {key!r}: {exc}") from None
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 
@@ -109,8 +134,7 @@ class EstimateWithCI:
         return cls(float(x.mean()), float(sd / math.sqrt(k)), k, level)
 
     def interval(self) -> tuple[float, float]:
-        from scipy.stats import norm
-        z = norm.ppf(0.5 + self.level / 2.0)
+        z = ndtri(0.5 + self.level / 2.0)
         return self.point - z * self.stderr, self.point + z * self.stderr
 
 
@@ -161,14 +185,6 @@ def survival_fraction(params: ModelParams, i0: int, replicates: int,
     stats = run_trajectories(params, i0, replicates, master_seed,
                              workers, max_steps=m + 1)
     return EstimateWithCI.from_samples(stats[:, 0] > m)
-
-
-def reach_fraction(params: ModelParams, i0: int, j_level: int,
-                   replicates: int, master_seed: int,
-                   workers: int = 1) -> EstimateWithCI:
-    """Monte Carlo estimate of P(max_k X_k >= j_level)."""
-    stats = run_trajectories(params, i0, replicates, master_seed, workers)
-    return EstimateWithCI.from_samples(stats[:, 2] >= j_level)
 
 
 def first_passage_fraction(params: ModelParams, i0: int, j_level: int,

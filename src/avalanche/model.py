@@ -84,32 +84,6 @@ def excite_probability(params: ModelParams, i: int) -> float:
     return -math.expm1(i * math.log1p(-params.p))
 
 
-def kernel_pmf(params: ModelParams, i: int, j: int) -> float:
-    """Transition probability P(X_{k+1} = j | X_k = i).
-
-    Equals C(n-i, j) * s**j * (1-s)**(n-i-j) with s = 1 - q**i, and 0
-    for j > n - i.  Evaluated in log space.
-    """
-    n = params.n
-    if not 0 <= i <= n:
-        raise ValueError(f"state i={i} outside [0, {n}]")
-    if j < 0 or j > n - i:
-        return 0.0
-    m = n - i
-    if i == 0:
-        return 1.0 if j == 0 else 0.0
-    s = excite_probability(params, i)
-    if s == 0.0:
-        return 1.0 if j == 0 else 0.0
-    if s == 1.0:
-        return 1.0 if j == m else 0.0
-    logp = (gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-            + j * math.log(s) + (m - j) * (i * math.log1p(-params.p)))
-    if logp < -745.0:
-        return 0.0
-    return float(math.exp(logp))
-
-
 def kernel_row(params: ModelParams, i: int) -> np.ndarray:
     """Full pmf row P(X_{k+1} = . | X_k = i) over j = 0..n (length n+1)."""
     n = params.n

@@ -21,12 +21,3 @@ def replicate_rng(master_seed: int, replicate_index: int) -> np.random.Generator
     key = np.array([master_seed & _MASK64, replicate_index & _MASK64],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def stream_rng(master_seed: int, label: int) -> np.random.Generator:
-    """Named non-replicate stream (e.g. for a one-off auxiliary draw).
-
-    Labels live in a different half of the key space than replicate
-    indices so they can never collide with ``replicate_rng`` streams.
-    """
-    return replicate_rng(~master_seed & _MASK64, label)

@@ -121,6 +121,13 @@ class TestTvBounds:
         pmf = _poisson_pmf_truncated(3.0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
         assert _poisson_pmf_truncated(0.0).tolist() == [1.0]
+        # cut and values as scipy.stats.poisson gives them
+        for mean in np.geomspace(1e-6, 5000, 300):
+            pmf = _poisson_pmf_truncated(mean)
+            hi = int(poisson.isf(1e-12, mean)) + 1
+            assert len(pmf) == hi + 1
+            np.testing.assert_allclose(
+                pmf, poisson.pmf(np.arange(hi + 1), mean), rtol=1e-13, atol=0)
 
 
 class TestMaximalCoupling:

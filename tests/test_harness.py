@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avalanche
 from avalanche import bounds as bc
 from avalanche import harness
-from avalanche.cli import main
+from avalanche.cli import COMMANDS, build_parser, config_from_args, main
 from avalanche.exact import (build_q_float, expected_duration_float,
                              expected_size_float)
 from avalanche.model import ModelParams, kernel_row, run_block
@@ -100,7 +106,7 @@ class TestTrajectories:
         surv = harness.survival_fraction(params, 1, 2000, 5, m=2)
         ref = harness._q_powers(build_q_float(params), np.ones(59), 2)[2][0]
         assert abs(surv.point - ref) < 4 * surv.stderr + 1e-9
-        reach = harness.reach_fraction(params, 1, 5, 2000, 5)
+        reach = harness.first_passage_fraction(params, 1, 5, 2000, 5)
         ref = harness.reach_probability_float(params, 5)[0]
         assert abs(reach.point - ref) < 4 * reach.stderr + 1e-9
 
@@ -318,3 +324,107 @@ class TestCli:
     def test_rejects_p_and_c(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--p", "0.1", "--c", "1.0"])
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--c", "2.0"], ["deterministic", "--c", "1.8"],
+        ["verify", "--n", "50"], ["couple", "--workers", "2"],
+        ["exact", "--reps", "5"], ["couple", "--out", "x.json"],
+        ["simulate", "--rep", "5"]])
+    def test_refuses_unread_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["reps = 10", "seed = 42", "bogus = 1",
+                                      "digits = 60"])
+    def test_refuses_unread_file_keys(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[experiment]\nn = 30\nc = 0.9\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(line.split()[0]) in err
+        assert "accepted keys: n, p, c, i0, replicates" in err
+
+    def test_refuses_other_sections(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[Experiment]\nn = 30\nc = 0.9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "[experiment]" in capsys.readouterr().err
+
+    def test_refuses_bad_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\nn = many\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "'n'" in capsys.readouterr().err
+
+    def test_accepted_settings_are_the_ones_read(self, tmp_path):
+        # each cmd_* must read exactly the settings its subcommand accepts
+        class Reads:
+            def __init__(self, config):
+                self.config, self.names = config, set()
+
+            def __getattr__(self, name):
+                self.names |= {"n", "p", "c"} if name == "model" else {name}
+                return getattr(self.config, name)
+
+        out = str(tmp_path / "out")
+        configs = {
+            "simulate": dict(n=20, c=0.9, replicates=5),
+            "exact": dict(n=8, c=1.0, digits=50),
+            "figure": dict(n=20, digits=50, c_list=(0.9, 1.3), i0_max=5),
+            "verify": {},
+            "deterministic": dict(n=50, i0=5, lam=1.5),
+            "couple": dict(n=20, c=0.8, replicates=5),
+        }
+        assert set(configs) == set(COMMANDS)
+        for name, kwargs in configs.items():
+            reads = Reads(harness.ExperimentConfig(out=out, **kwargs))
+            try:
+                getattr(harness, f"cmd_{name}")(reads)
+            except AssertionError:  # a failed figure shape check
+                pass
+            assert reads.names == set(COMMANDS[name][1]), name
+
+    def test_figure_shape_failure_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "fig.csv"
+        code = main(["figure", "--n", "30", "--digits", "50",
+                     "--out", str(out)])
+        assert code == 1
+        assert "flattening failed" in capsys.readouterr().err
+        assert len(list(csv.reader(out.open()))) == 1 + 4 * 29
+
+
+def test_readme_cli_examples(tmp_path):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    cli_block = text.split("## CLI")[1].split("```")[1]
+    lines = [shlex.split(line, comments=True)
+             for line in cli_block.splitlines() if line.strip()]
+    assert [argv[:2] for argv in lines] == [["avalanche", name]
+                                            for name in COMMANDS]
+    for argv in lines:
+        build_parser().parse_args(argv[1:])
+    ini = text.split("```ini")[1].split("```")[0]
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(ini)
+    config = config_from_args(
+        build_parser().parse_args(["simulate", "--config", str(cfg)]))
+    keys = dict(line.split(" = ") for line in ini.strip().splitlines()[1:])
+    assert keys
+    for key, text in keys.items():
+        assert getattr(config, key) == harness.SETTINGS[key][1](text)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = ("import sys, avalanche.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = str(Path(avalanche.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
 from avalanche.model import (ModelParams, Trajectory, conditional_moments,
-                             excite_probability, kernel_pmf,
-                             kernel_pmf_exact, kernel_row, run_block,
+                             excite_probability, kernel_pmf_exact,
+                             kernel_row, run_block,
                              simulate_count, simulate_set, step_count)
 from avalanche.model import _SCALAR_TAIL
 from avalanche.rng import replicate_rng
@@ -69,14 +69,6 @@ class TestKernel:
         # states above n - i are unreachable
         assert np.all(row[n - i + 1:] == 0.0)
 
-    def test_pmf_matches_row(self):
-        params = ModelParams(17, 0.23)
-        for i in range(18):
-            row = kernel_row(params, i)
-            for j in range(18):
-                assert kernel_pmf(params, i, j) == pytest.approx(
-                    row[j], rel=1e-12, abs=1e-300)
-
     def test_matches_scipy_binomial(self):
         params = ModelParams(30, 0.07)
         for i in (1, 5, 15, 29):
@@ -93,7 +85,7 @@ class TestKernel:
         for i in range(1, 12):
             for j in range(13):
                 exact = kernel_pmf_exact(params, i, j)
-                assert kernel_pmf(params, i, j) == pytest.approx(
+                assert kernel_row(params, i)[j] == pytest.approx(
                     float(exact), rel=1e-12, abs=1e-300)
 
     def test_rational_rows_sum_to_one_exactly(self):
