@@ -2,9 +2,10 @@
 
 Two constructions:
 
-* a monotone triple (X, Q, Z) built from per-node Poisson pairs and a
-  Bernoulli thinning, with X <= Q <= Z pathwise, X distributed as the
-  avalanche chain and Z as the Galton-Watson chain with offspring mean c;
+* a monotone triple (X, Q, Z), X <= Q <= Z pathwise, X distributed as
+  the avalanche chain and Z as the Galton-Watson chain with mean c: each
+  step drops Q' ~ Poisson(c*x) balls on the n-x resting nodes, thins the
+  occupied nodes to X', and adds Poisson(c*(z-x)) balls to make Z';
 * a maximal coupling that keeps the avalanche and branching chains glued
   together until they diverge with exactly the total-variation
   probability of the two one-step laws.
@@ -48,31 +49,26 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
                           rng: np.random.Generator) -> tuple[int, int, int]:
     """One step of the monotone triple from (x, ., z).
 
-    Draws n-x independent pairs of Poisson variables with means
-    c*x/(n-x) and c*(z-x)/(n-x) plus a thinning Bernoulli with success
-    probability (1 - q**x) / (1 - exp(-c*x/(n-x))).  Marginally the
-    first sum is the avalanche step and the total is Poisson(c*z).
+    Q' ~ Poisson(c*x) balls land uniformly on the n-x resting nodes; by
+    Poisson splitting the node counts are independent Poisson(c*x/(n-x)),
+    the per-node construction.  Each of the K occupied nodes is excited
+    with probability p_u = (1 - q**x) / (1 - exp(-c*x/(n-x))), so
+    X' ~ Bin(K, p_u) is the avalanche step, and Z' = Q' + Poisson(c*(z-x))
+    is Poisson(c*z).  X' <= K <= Q' <= Z' by construction.
     """
     if x > z:
         raise ValueError(f"monotonicity broken on entry: x={x} > z={z}")
-    n = params.n
-    if x == 0 and z == 0:
-        return 0, 0, 0
-    m = n - x
-    mean1 = c * x / m
-    y1 = rng.poisson(mean1, size=m) if x > 0 else np.zeros(m, dtype=np.int64)
-    y2 = rng.poisson(c * (z - x) / m, size=m) if z > x else 0
-    q_next = int(y1.sum())
-    z_next = q_next + int(np.sum(y2))
-    if x == 0:
-        return 0, q_next, z_next
-    p_u = excite_probability(params, x) / -math.expm1(-mean1)
+    q_next = int(rng.poisson(c * x))
+    z_next = q_next + int(rng.poisson(c * (z - x)))
+    if q_next == 0:  # covers x = 0, where p_u below is 0/0
+        return 0, 0, z_next
+    m = params.n - x
+    p_u = excite_probability(params, x) / -math.expm1(-c * x / m)
     if p_u > 1.0 + 1e-12:
         raise ValueError(
             f"thinning probability {p_u} > 1; coupling constant too small")
-    u = rng.random(m) < p_u
-    x_next = int(np.sum(u & (y1 > 0)))
-    return x_next, q_next, z_next
+    occupied = len(set(rng.integers(0, m, size=q_next).tolist()))
+    return int(rng.binomial(occupied, min(p_u, 1.0))), q_next, z_next
 
 
 def simulate_coupled(params: ModelParams, c: float, i0: int,
@@ -117,13 +113,18 @@ def tv_poisson_poisson(mu: float, c: float) -> float:
     return min(1.0, 1.0 / math.sqrt(c)) * (c - mu)
 
 
+def _pad_pair(pmf1: np.ndarray,
+              pmf2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pmf1 and pmf2, zero-padded to the longer one's support."""
+    k = max(len(pmf1), len(pmf2))
+    a, b = np.zeros(k), np.zeros(k)
+    a[: len(pmf1)], b[: len(pmf2)] = pmf1, pmf2
+    return a, b
+
+
 def tv_exact(pmf1: np.ndarray, pmf2: np.ndarray) -> float:
     """Exact TV distance 0.5*sum|p1 - p2| over a common support grid."""
-    k = max(len(pmf1), len(pmf2))
-    a = np.zeros(k)
-    b = np.zeros(k)
-    a[: len(pmf1)] = pmf1
-    b[: len(pmf2)] = pmf2
+    a, b = _pad_pair(pmf1, pmf2)
     return 0.5 * float(np.abs(a - b).sum())
 
 
@@ -162,20 +163,15 @@ def step_coupled_maximal(params: ModelParams, i: int,
     """
     if i == 0:
         return 0, 0, False
-    p1 = kernel_row(params, i)
-    p2 = _poisson_pmf_truncated(params.c * i)
-    k = max(len(p1), len(p2))
-    a = np.zeros(k)
-    b = np.zeros(k)
-    a[: len(p1)] = p1
-    b[: len(p2)] = p2
+    a, b = _pad_pair(kernel_row(params, i),
+                     _poisson_pmf_truncated(params.c * i))
     overlap = np.minimum(a, b)
     omega = float(overlap.sum())
     if rng.random() < omega:
-        v = int(rng.choice(k, p=overlap / omega))
+        v = int(rng.choice(len(a), p=overlap / omega))
         return v, v, False
     res_a = np.clip(a - b, 0.0, None)
     res_b = np.clip(b - a, 0.0, None)
-    x_next = int(rng.choice(k, p=res_a / res_a.sum()))
-    z_next = int(rng.choice(k, p=res_b / res_b.sum()))
+    x_next = int(rng.choice(len(a), p=res_a / res_a.sum()))
+    z_next = int(rng.choice(len(a), p=res_b / res_b.sum()))
     return x_next, z_next, True

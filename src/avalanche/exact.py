@@ -20,27 +20,23 @@ import numpy as np
 from .model import ModelParams, kernel_row
 
 MAX_EXACT_N = 2000
+MIN_DIGITS = 50
 _GUARD_DIGITS = 10
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Working precision and the residual acceptance threshold.
-
-    residual_tol defaults to 10**(-decimal_digits/2).
-    """
+    """Working precision; a solve at d digits is accepted when its
+    residual is below 10**(-d/2)."""
 
     decimal_digits: int = 400
-    residual_tol: float | None = None
 
     def __post_init__(self):
-        if self.decimal_digits < 50:
-            raise ValueError(
-                f"need at least 50 digits, got {self.decimal_digits}")
+        if self.decimal_digits < MIN_DIGITS:
+            raise ValueError(f"need at least {MIN_DIGITS} digits, "
+                             f"got {self.decimal_digits}")
 
     def tol(self, digits: int | None = None) -> mp.mpf:
-        if self.residual_tol is not None:
-            return mp.mpf(self.residual_tol)
         d = self.decimal_digits if digits is None else digits
         return mp.mpf(10) ** (-d // 2)
 

@@ -23,8 +23,9 @@ from . import bounds as bc
 from . import meanfield as mf
 from .branching import (agresti_duration_bounds, gw_extinct_by,
                         lindvall_max_bound)
-from .coupling import (simulate_coupled, step_coupled_maximal, tv_exact,
-                       step_divergence_bound, _poisson_pmf_truncated)
+from .coupling import (check_coupling_constant, simulate_coupled,
+                       step_coupled_maximal, tv_exact, step_divergence_bound,
+                       _poisson_pmf_truncated)
 from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
                     expected_duration, expected_size, _checked_float_solve,
                     _float_expectation)
@@ -79,6 +80,7 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        PrecisionConfig(self.digits)  # refuses too few digits
 
     def model(self) -> ModelParams:
         if self.p is not None:
@@ -127,9 +129,12 @@ class EstimateWithCI:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray,
-                     level: float = 0.99) -> "EstimateWithCI":
+                     level: float = 0.99) -> "EstimateWithCI | None":
+        """Mean and standard error of the sample; None if it is empty."""
         x = np.asarray(samples, dtype=float)
         k = len(x)
+        if k == 0:
+            return None
         sd = x.std(ddof=1) if k > 1 else 0.0
         return cls(float(x.mean()), float(sd / math.sqrt(k)), k, level)
 
@@ -203,7 +208,7 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
     n = params.n
     logq = math.log1p(-params.p)
     x = np.full(replicates, i0, dtype=np.int64)
-    reached = np.zeros(replicates, dtype=bool)
+    reached = x >= j_level
     for _ in range(max_steps):
         active = (x > 0) & ~reached
         if not active.any():
@@ -252,18 +257,17 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
                              config.master_seed, config.workers,
                              config.max_steps)
     ok = stats[:, 3] == 0
-    summary = {
-        "duration": EstimateWithCI.from_samples(stats[ok, 0]),
-        "size": EstimateWithCI.from_samples(stats[ok, 1]),
-        "max": EstimateWithCI.from_samples(stats[ok, 2]),
-        "truncated": int((~ok).sum()),
-    }
+    names = ("duration", "size", "max")
+    summary = {name: EstimateWithCI.from_samples(stats[ok, k])
+               for k, name in enumerate(names)}
+    summary["truncated"] = int((~ok).sum())
     if config.out:
         rows = np.column_stack([np.arange(len(stats)), stats]).tolist()
-        for name in ("duration", "size", "max"):
+        for name in names:
             est = summary[name]
-            rows.append([f"summary_{name}", est.point, est.stderr,
-                         est.replicates, ""])
+            rows.append([f"summary_{name}",
+                         *((est.point, est.stderr, est.replicates) if est
+                           else ("", "", 0)), ""])
         rows.append(["summary_truncated", summary["truncated"], "", "", ""])
         write_csv(config.out, ["replicate", "T", "S", "max", "truncated"],
                   rows)
@@ -512,31 +516,34 @@ def cmd_deterministic(config: ExperimentConfig) -> dict:
 def cmd_couple(config: ExperimentConfig) -> dict:
     """Monotone-coupling campaign: dominance, sizes, divergence rates."""
     params = config.model()
-    c = params.c
+    c, i = params.c, config.i0
+    try:  # the coupling constant is n*p if admissible, else -n*log(1-p)
+        check_coupling_constant(params, c)
+        coupling_c = c
+    except ValueError:
+        coupling_c = params.alpha
     viol = 0
     sx, sz = [], []
     for r in range(config.replicates):
-        path = simulate_coupled(params, c, config.i0,
+        path = simulate_coupled(params, coupling_c, i,
                                 replicate_rng(config.master_seed, r))
-        if not path.dominated:
-            viol += 1
+        viol += not path.dominated
         if not path.truncated:
             sx.append(int(path.x_seq.sum()))
             sz.append(int(path.z_seq.sum()))
-    i = max(config.i0, 1)
-    diverged = 0
     rng = replicate_rng(config.master_seed, config.replicates + 1)
     probes = min(config.replicates, 10 ** 5)
-    for _ in range(probes):
-        _, _, dv = step_coupled_maximal(params, i, rng)
-        diverged += dv
+    diverged = sum(step_coupled_maximal(params, i, rng)[2]
+                   for _ in range(probes))
     tv = tv_exact(kernel_row(params, i), _poisson_pmf_truncated(c * i))
     return {
+        "coupling_c": coupling_c,
         "dominance_violations": viol,
+        "truncated": config.replicates - len(sx),
         "size_x": EstimateWithCI.from_samples(np.array(sx)),
         "size_z": EstimateWithCI.from_samples(np.array(sz)),
         "divergence_rate": EstimateWithCI.from_samples(
-            np.concatenate([np.ones(diverged), np.zeros(probes - diverged)])),
+            np.arange(probes) < diverged),
         "divergence_tv": tv,
         "divergence_envelope": step_divergence_bound(c, i, params.n),
     }

@@ -12,7 +12,7 @@ from avalanche.coupling import (CoupledPath, check_coupling_constant,
                                 step_coupled_maximal, step_divergence_bound,
                                 tv_binomial_poisson, tv_exact,
                                 tv_poisson_poisson)
-from avalanche.model import ModelParams, kernel_row
+from avalanche.model import ModelParams, excite_probability, kernel_row
 from avalanche.rng import replicate_rng
 
 
@@ -73,6 +73,41 @@ class TestMonotoneCoupling:
                           for _ in range(20000)])
         assert abs(draws.mean() - c * z0) < 4 * math.sqrt(
             c * z0 / len(draws))
+
+    @pytest.mark.parametrize("x, z", [(2, 2), (2, 3), (0, 2)])
+    def test_joint_law_is_the_per_node_construction(self, x, z):
+        # exact pmf of (X', Q', Z' - Q') under the per-node construction,
+        # by a dynamic program over the n-x resting nodes: each node draws
+        # Y1 ~ Poisson(c*x/(n-x)) and Y2 ~ Poisson(c*(z-x)/(n-x)), and
+        # fires iff Y1 > 0 and a Bernoulli(p_u) succeeds
+        params = ModelParams.from_intensity(6, 1.2)
+        c = params.alpha * 1.001
+        m, top = params.n - x, 30
+        k = np.arange(top + 1)
+        p_u = excite_probability(params, x) / -math.expm1(-c * x / m) \
+            if x else 0.0
+        fire = np.where(k > 0, p_u, 0.0)
+        y1, y2 = poisson.pmf(k, c * x / m), poisson.pmf(k, c * (z - x) / m)
+        node = np.stack([np.outer(y1 * (1 - fire), y2),
+                         np.outer(y1 * fire, y2)])
+        ref = np.zeros((m + 1, top + 1, top + 1))
+        ref[0, 0, 0] = 1.0
+        for _ in range(m):
+            new = np.zeros_like(ref)
+            for e, a, b in zip(*np.nonzero(node > 1e-18)):
+                new[e:, a:, b:] += node[e, a, b] \
+                    * ref[: m + 1 - e, : top + 1 - a, : top + 1 - b]
+            ref = new
+        assert ref.sum() == pytest.approx(1.0, abs=1e-12)
+        draws = 10 ** 5
+        rng = replicate_rng(59, 10 * x + z)
+        counts = np.zeros_like(ref)
+        for _ in range(draws):
+            xn, qn, zn = coupled_step_monotone(params, c, x, z, rng)
+            counts[xn, qn, zn - qn] += 1
+        cells = ref >= 1e-4
+        se = np.sqrt(ref * (1 - ref) / draws)
+        assert (np.abs(counts / draws - ref)[cells] < 5 * se[cells]).all()
 
     def test_rejects_inverted_states(self):
         params = ModelParams.from_intensity(50, 0.8)

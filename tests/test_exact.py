@@ -24,10 +24,6 @@ class TestPrecisionConfig:
         assert cfg.tol() == mp.mpf(10) ** -50
         assert cfg.tol(200) == mp.mpf(10) ** -100
 
-    def test_explicit_tolerance_wins(self):
-        cfg = PrecisionConfig(100, residual_tol=1e-30)
-        assert cfg.tol() == mp.mpf(1e-30)
-
     def test_minimum_digits(self):
         with pytest.raises(ValueError):
             PrecisionConfig(10)

@@ -115,6 +115,11 @@ class TestTrajectories:
         h = harness.reach_probability_float(params, 100)
         assert ((h >= 0) & (h <= 1)).all()
 
+    def test_first_passage_counts_a_start_at_the_level(self):
+        params = ModelParams.from_intensity(100, 0.5)
+        est = harness.first_passage_fraction(params, 5, 3, 1000, 7)
+        assert est.point == 1.0
+
     def test_first_passage_matches_exact_reach(self):
         # supercritical case, where full-absorption simulation is not an
         # option because surviving paths settle into quasi-equilibrium
@@ -273,6 +278,15 @@ class TestDeterministicAndCouple:
         assert out["divergence_tv"] <= out["divergence_envelope"] + 1e-12
         assert abs(out["divergence_rate"].point - out["divergence_tv"]) \
             < 5 * out["divergence_rate"].stderr + 1e-3
+        assert out["coupling_c"] == 0.9
+
+    def test_cmd_couple_above_admissible_intensity(self):
+        # n*p = 2 is not an admissible coupling constant at n = 100, so
+        # the campaign falls back to -n*log(1-p)
+        config = harness.ExperimentConfig(n=100, c=2.0, i0=2, replicates=3)
+        out = harness.cmd_couple(config)
+        assert out["coupling_c"] == config.model().alpha
+        assert out["dominance_violations"] == 0
 
 
 class TestCli:
@@ -283,6 +297,43 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["truncated"] == 0
         assert payload["duration"]["replicates"] == 50
+
+    @pytest.mark.parametrize("argv, keys, names", [
+        (["couple", "--n", "100", "--c", "1.9", "--i0", "2", "--reps", "3"],
+         "", ("size_x", "size_z")),
+        (["simulate", "--n", "100", "--c", "5", "--i0", "50", "--reps", "5"],
+         "max_steps = 3\n", ("duration", "size", "max"))],
+        ids=["couple", "simulate"])
+    def test_no_finished_replicate_reports_null(self, argv, keys, names,
+                                                tmp_path, capsys):
+        # every coupled path passes z_cap; every trajectory hits max_steps
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\n" + keys)
+        assert main([*argv, "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["truncated"] == int(argv[-1])
+        assert all(payload[name] is None for name in names)
+
+    def test_simulate_csv_without_finished_replicate(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        config = harness.ExperimentConfig(n=100, c=5.0, i0=50, replicates=5,
+                                          max_steps=3, out=str(out))
+        harness.cmd_simulate(config)
+        rows = list(csv.reader(out.open()))
+        assert rows[-4] == ["summary_duration", "", "", "0", ""]
+        assert rows[-1] == ["summary_truncated", "5", "", "", ""]
+
+    @pytest.mark.parametrize("command", ["exact", "figure"])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_refuses_too_few_digits(self, command, in_file, tmp_path,
+                                    capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\ndigits = 40\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(["--config", str(cfg)] if in_file
+                             else ["--digits", "40"])])
+        assert exc.value.code == 2
+        assert "need at least 50 digits, got 40" in capsys.readouterr().err
 
     def test_exact_prints_rows(self, capsys):
         code = main(["exact", "--n", "8", "--c", "1.0", "--digits", "60"])
