@@ -92,6 +92,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        # a chain starts transient, a mean-field path anywhere in [0, n]
+        low = 0 if args.command == "deterministic" else 1
+        if "i0" in COMMANDS[args.command][1] \
+                and not low <= config.i0 <= config.n - low:
+            raise ValueError(f"i0={config.i0} outside "
+                             f"[{low}, {config.n - low}]")
     except (OSError, ValueError, configparser.Error) as exc:
         parser.error(f"{args.command}: {exc}")
     if args.command == "simulate":

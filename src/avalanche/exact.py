@@ -7,9 +7,9 @@ probabilities are iterated products Q^m e, and reach probabilities
 restrict the system to the states below the target level.
 
 All solves run in mpmath arbitrary precision (default 400 decimal
-digits) with partial pivoting and a post-solve residual check; float64
-shortcuts are provided for large n where cubic cost at high precision
-is prohibitive.
+digits) on one cached LU of I-Q per chain, without pivoting, each with
+a residual check; float64 shortcuts are provided for large n where
+cubic cost at high precision is prohibitive.
 """
 
 from dataclasses import dataclass
@@ -37,8 +37,7 @@ class PrecisionConfig:
                              f"got {self.decimal_digits}")
 
     def tol(self, digits: int | None = None) -> mp.mpf:
-        d = self.decimal_digits if digits is None else digits
-        return mp.mpf(10) ** (-d // 2)
+        return mp.mpf(10) ** (-(digits or self.decimal_digits) // 2)
 
 
 class SubstochasticSystem:
@@ -46,6 +45,15 @@ class SubstochasticSystem:
 
     Rows are built lazily (and cached) because some solves, notably
     reach probabilities, touch only the states below a threshold.
+
+    Every solve runs on one cached factorization per digit count: the
+    LU of I-Q over states 1..K plus a tail column, minus each row's mass
+    above K.  Row i's diagonal exceeds its off-diagonal magnitudes by
+    Q(i,0) plus that mass, > 0 for p < 1; this strict row dominance
+    holds in every Schur complement, so no pivoting is needed (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 9.5), and
+    leading blocks share their factors: the K = n-1 factors serve both
+    expectations, and one block every reach level up to K+1.
     """
 
     def __init__(self, params: ModelParams,
@@ -56,6 +64,7 @@ class SubstochasticSystem:
         self.params = params
         self.precision = precision or PrecisionConfig()
         self._rows: dict[tuple[int, int], list] = {}
+        self._factors: dict[int, list[list]] = {}
 
     @property
     def n(self) -> int:
@@ -88,94 +97,89 @@ class SubstochasticSystem:
         self._rows[key] = out
         return out
 
-
-def _solve_dense(a_rows: list[list], b: list) -> list:
-    """Gaussian elimination with partial pivoting; a_rows is consumed."""
-    n = len(b)
-    a = [row[:] for row in a_rows]
-    x = b[:]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(a[r][k]))
-        if a[piv][k] == 0:
-            raise ArithmeticError("singular system in elimination")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            x[k], x[piv] = x[piv], x[k]
-        arow, xk = a[k], x[k]
-        inv_piv = 1 / arow[k]
-        for r in range(k + 1, n):
-            f = a[r][k] * inv_piv
-            if f == 0:
-                continue
-            row = a[r]
-            for col in range(k, n):
-                row[col] -= f * arow[col]
-            x[r] -= f * xk
-    for k in range(n - 1, -1, -1):
-        acc = x[k]
-        row = a[k]
-        for col in range(k + 1, n):
-            acc -= row[col] * x[col]
-        x[k] = acc / row[k]
-    return x
-
-
-def _residual_inf(a_rows: list[list], x: list, b: list) -> mp.mpf:
-    worst = mp.mpf(0)
-    for row, bi in zip(a_rows, b):
-        r = mp.fsum(aij * xj for aij, xj in zip(row, x)) - bi
-        worst = max(worst, abs(r))
-    return worst
-
-
-def _system_matrix(system: SubstochasticSystem, digits: int,
-                   states: range) -> list[list]:
-    """(I - Q) restricted to ``states`` (1-based transient labels)."""
-    idx = {i: k for k, i in enumerate(states)}
-    out = []
-    for i in states:
-        full = system.row(i, digits)
-        row = [-full[j] if j < len(full) else mp.mpf(0) for j in states]
-        row[idx[i]] += 1
-        out.append(row)
-    return out
-
-
-def _checked_solve(system: SubstochasticSystem, states: range,
-                   rhs_of_digits) -> list:
-    """Solve (I-Q)x = b with a residual gate and one precision retry."""
-    digits = system.precision.decimal_digits
-    for attempt in range(2):
+    def factors(self, k: int, digits: int | None = None) -> list[list]:
+        """LU of [I-Q | tail] over states 1..K, some K >= k: row r holds
+        L(r, :r), U(r, r:K) and the reduced tail.  A smaller cached block
+        is refactored at least twice as large, so growing level by level
+        stays O(n^3)."""
+        digits = digits or self.precision.decimal_digits
+        lu = self._factors.get(digits, [])
+        if len(lu) >= k:
+            return lu
+        k = max(k, min(2 * len(lu), self.n - 1))
+        lu = []
         with mp.workdps(digits + _GUARD_DIGITS):
-            a = _system_matrix(system, digits, states)
-            b = rhs_of_digits(digits)
-            x = _solve_dense(a, b)
-            if _residual_inf(a, x, b) < system.precision.tol(digits):
+            for r in range(k):
+                full = self.row(r + 1, digits)
+                a = [-v for v in full[1:k + 1]]
+                a += [mp.mpf(0)] * (k - len(a)) + [-mp.fsum(full[k + 1:])]
+                a[r] += 1
+                out = []   # Doolittle: L(r, j) for j < r, then U(r, j)
+                for j in range(k + 1):
+                    v = a[j] - mp.fdot(out[:r], (u[j] for u in lu))
+                    out.append(v / lu[j][j] if j < r else v)
+                if out[r] <= 0:
+                    raise ArithmeticError(f"pivot {r + 1} is not positive")
+                lu.append(out)
+        self._factors[digits] = lu
+        return lu
+
+
+def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
+                  b: list) -> mp.mpf:
+    """max_i |x(i) - (Qx)(i) - b(i)| over states 1..len(x), from the
+    rows; x is 1 above its last state, as at a reach level's boundary."""
+    xs = x + [mp.mpf(1)] * (system.n - 1 - len(x))
+    return max((abs(xi - bi - mp.fdot(system.row(i, digits)[1:], xs))
+                for i, (xi, bi) in enumerate(zip(x, b), start=1)), default=0)
+
+
+def _checked_solve(system: SubstochasticSystem, k: int, reduce,
+                   b: list) -> list:
+    """Solve U x = reduce(factors of states 1..k) on states 1..len(b);
+    accept x when its residual against b is below 10**(-d/2), else
+    refactor the same block once at twice the digits."""
+    digits = system.precision.decimal_digits
+    for _ in range(2):
+        with mp.workdps(digits + _GUARD_DIGITS):
+            lu = system.factors(k, digits)
+            x = reduce(lu)
+            for i in range(len(x) - 1, -1, -1):
+                x[i] = ((x[i] - mp.fdot(lu[i][i + 1:len(x)], x[i + 1:]))
+                        / lu[i][i])
+            if (_residual_inf(system, digits, x, b)
+                    < system.precision.tol(digits)):
                 return x
-        digits *= 2
+        k, digits = len(lu), 2 * digits
     raise ArithmeticError(
         f"residual above tolerance even after raising precision to "
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 
 
+def _expectation(system: SubstochasticSystem, b: list, what: str) -> list:
+    """(I-Q)^-1 b over states 1..n-1 by forward and back substitution;
+    at least b, as the chain starts in i."""
+    def forward(lu):
+        y = []
+        for row, bi in zip(lu, b):
+            y.append(bi - mp.fdot(row, y))
+        return y
+    x = _checked_solve(system, system.n - 1, forward, b)
+    if any(v < bi for v, bi in zip(x, b)):
+        raise ArithmeticError(f"{what} below its floor; solve is broken")
+    return x
+
+
 def expected_duration(system: SubstochasticSystem) -> list:
     """E(T | X_0 = i) for i = 1..n-1 as mpf values, from (I-Q)x = e."""
-    states = range(1, system.n)
-    x = _checked_solve(system, states,
-                       lambda d: [mp.mpf(1)] * (system.n - 1))
-    if any(v < 1 for v in x):
-        raise ArithmeticError("expected duration below 1; solve is broken")
-    return x
+    return _expectation(system, [mp.mpf(1)] * (system.n - 1),
+                        "expected duration")
 
 
 def expected_size(system: SubstochasticSystem) -> list:
     """E(S | X_0 = i) for i = 1..n-1, from (I-Q)s = (1, ..., n-1)'."""
-    states = range(1, system.n)
-    s = _checked_solve(system, states,
-                       lambda d: [mp.mpf(i) for i in states])
-    if any(v < i for v, i in zip(s, states)):
-        raise ArithmeticError("expected size below the initial count")
-    return s
+    return _expectation(system, [mp.mpf(i) for i in range(1, system.n)],
+                        "expected size")
 
 
 def duration_survival(system: SubstochasticSystem, m: int) -> list:
@@ -198,24 +202,15 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     """h(i) = P(max_k X_k >= j_level | X_0 = i) for i = 1..j_level-1.
 
     Restricts the linear system to the transient states below the
-    level; for i >= j_level the probability is 1 by definition.
+    level; for i >= j_level the probability is 1 by definition.  The
+    reduced right-hand side is minus the U rows' sums over columns >=
+    j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
     """
-    n = system.n
-    if not 1 <= j_level <= n:
-        raise ValueError(f"level must lie in [1, {n}], got {j_level}")
-    if j_level == 1:
-        return []
-    states = range(1, j_level)
-
-    def rhs(digits):
-        out = []
-        for i in states:
-            row = system.row(i, digits)
-            out.append(mp.fsum(row[j_level:]) if j_level < len(row)
-                       else mp.mpf(0))
-        return out
-
-    h = _checked_solve(system, states, rhs)
+    if not 1 <= j_level <= system.n:
+        raise ValueError(f"level must lie in [1, {system.n}], got {j_level}")
+    m = j_level - 1
+    h = _checked_solve(system, m, lambda lu: [-mp.fsum(lu[i][m:])
+                                              for i in range(m)], [0] * m)
     if any(v < 0 or v > 1 for v in h):
         raise ArithmeticError("reach probability escaped [0, 1]")
     return h
@@ -223,32 +218,31 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
 
 def max_survival(system: SubstochasticSystem, i0: int,
                  levels) -> list:
-    """P(max_k X_k >= J | X_0 = i0) for each J in ``levels``."""
+    """P(max_k X_k >= J | X_0 = i0) for each J in ``levels``, all from
+    one factorization at the highest level solved."""
     if not 1 <= i0 <= system.n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got {i0}")
+    levels = list(levels)
+    system.factors(max((j for j in levels if i0 < j <= system.n),
+                       default=1) - 1)
     out = []
     for j_level in levels:
-        if j_level <= i0:
-            out.append(mp.mpf(1))
-        elif j_level > system.n:
-            out.append(mp.mpf(0))
-        else:
+        if i0 < j_level <= system.n:
             out.append(reach_probability(system, j_level)[i0 - 1])
+        else:
+            out.append(mp.mpf(j_level <= i0))
     return out
 
 
 def max_distribution(system: SubstochasticSystem, i0: int,
                      j_max: int | None = None) -> list:
     """pmf of max_k X_k over J = 0..j_max (entries below i0 are zero)."""
-    n = system.n
-    j_max = n if j_max is None else j_max
+    j_max = system.n if j_max is None else j_max
     tail = max_survival(system, i0, range(i0, j_max + 2))
-    pmf = [mp.mpf(0)] * (j_max + 1)
     # the tails carry the working precision; so must their differences
     with mp.workdps(system.precision.decimal_digits + _GUARD_DIGITS):
-        for j in range(i0, j_max + 1):
-            pmf[j] = tail[j - i0] - tail[j - i0 + 1]
-    return pmf
+        pmf = [mp.mpf(0)] * i0 + [a - b for a, b in zip(tail, tail[1:])]
+    return pmf[:j_max + 1]
 
 
 def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:

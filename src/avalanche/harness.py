@@ -497,7 +497,7 @@ def cmd_verify(config: ExperimentConfig) -> dict:
 def cmd_deterministic(config: ExperimentConfig) -> dict:
     """Mean-field tables and (for lam > 1) the contraction parameters."""
     lam = config.lam
-    psi0 = min(max(config.i0 / config.n, 1e-9), 1.0 - 1e-9)
+    psi0 = config.i0 / config.n
     path = mf.iterate_mean_field(lam, psi0)
     model = mf.FluctuationModel.from_initial(lam, psi0, len(path.psi) - 1)
     rows = [[k, path.psi[k], path.phi[k], path.branching_factor[k],

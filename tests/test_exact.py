@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from avalanche import exact
 from avalanche.exact import (MAX_EXACT_N, PrecisionConfig,
                              SubstochasticSystem, build_q_float,
                              duration_survival, expected_duration,
@@ -197,6 +198,120 @@ class TestReachAndMax:
         for _ in range(500):
             acc = hit + q @ acc
         np.testing.assert_allclose([float(v) for v in h], acc, rtol=1e-10)
+
+
+class TestFactorization:
+    """One cached LU of I-Q per digit count serves every solve."""
+
+    @pytest.mark.parametrize("c", [0.9, 1.3])
+    def test_all_levels_match_per_level_solves(self, c):
+        # max_survival reads every level off the 23-state block; a fresh
+        # system factors only the block below each level
+        n, digits = 24, 60
+        tol = mp.mpf(10) ** (-digits // 2)
+        system = small_system(n, c, digits)
+        tails = {i0: max_survival(system, i0, range(1, n + 2))
+                 for i0 in (1, 3)}
+        assert [len(lu) for lu in system._factors.values()] == [n - 1]
+        for j_level in range(2, n + 1):
+            h = reach_probability(small_system(n, c, digits), j_level)
+            assert abs(tails[1][j_level - 1] - h[0]) < tol
+            if j_level > 3:
+                assert abs(tails[3][j_level - 1] - h[2]) < tol
+
+    def test_reach_matches_mpmath_lu_solve(self):
+        n, digits, j_level = 24, 60, 10
+        system = small_system(n, 1.3, digits)
+        max_survival(system, 1, [n])   # caches the full block
+        h = reach_probability(system, j_level)
+        with mp.workdps(digits + 10):
+            a = mp.matrix(j_level - 1)
+            b = mp.matrix(j_level - 1, 1)
+            for i in range(1, j_level):
+                row = system.row(i)
+                for j in range(1, j_level):
+                    a[i - 1, j - 1] = (i == j) - (row[j] if j < len(row)
+                                                  else 0)
+                b[i - 1] = mp.fsum(row[j_level:])
+            ref = mp.lu_solve(a, b)
+            assert max(abs(x - ref[k]) for k, x in enumerate(h)) \
+                < mp.mpf(10) ** (-digits // 2)
+
+    def test_size_reuses_duration_factors(self):
+        system = small_system(n=30, c=1.1)
+        expected_duration(system)
+        lu = system._factors[60]
+        expected_size(system)
+        assert list(system._factors) == [60]
+        assert system._factors[60] is lu
+
+    def test_reach_factors_only_the_block_below_the_level(self):
+        system = small_system(n=400, c=1.0)
+        assert len(reach_probability(system, 40)) == 39
+        assert [len(lu) for lu in system._factors.values()] == [39]
+        assert {i for i, _ in system._rows} == set(range(1, 40))
+
+    def test_larger_level_refactors_at_least_twice_as_large(self):
+        system = small_system(n=40, c=1.0)
+        reach_probability(system, 6)
+        reach_probability(system, 8)
+        assert len(system._factors[60]) == 10
+
+
+def _reach_12(system):
+    return reach_probability(system, 12)
+
+
+def _max_12(system):
+    return max_survival(system, 1, range(1, 14))
+
+
+class TestPrecisionRetry:
+    """A solve whose residual gate fails refactors once at twice the
+    digits and returns that answer; a second failure raises."""
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Fail the residual gate at the digit counts put in `failing`;
+        record each factorization built as (digits, factors)."""
+        failing, built = set(), []
+        residual, factors = exact._residual_inf, SubstochasticSystem.factors
+
+        def fake_residual(system, digits, x, b):
+            if digits in failing:
+                return mp.mpf(1)
+            return residual(system, digits, x, b)
+
+        def counted_factors(system, k, digits=None):
+            lu = factors(system, k, digits)
+            if all(lu is not seen for _, seen in built):
+                built.append((digits or system.precision.decimal_digits, lu))
+            return lu
+
+        monkeypatch.setattr(exact, "_residual_inf", fake_residual)
+        monkeypatch.setattr(SubstochasticSystem, "factors", counted_factors)
+        return failing, built
+
+    @pytest.mark.parametrize("solve", [expected_duration, _reach_12,
+                                       _max_12])
+    def test_one_refactorization_at_twice_the_digits(self, solve, gate):
+        failing, built = gate
+        want = solve(small_system(n=20, c=1.1, digits=120))
+        built.clear()
+        failing.add(60)
+        system = small_system(n=20, c=1.1, digits=60)
+        got = solve(system)
+        assert [d for d, _ in built] == [60, 120]
+        assert got == want
+        assert max(d for _, d in system._rows) == 120
+
+    @pytest.mark.parametrize("solve", [expected_duration, _reach_12,
+                                       _max_12])
+    def test_second_failure_raises(self, solve, gate):
+        failing, _ = gate
+        failing.update({60, 120})
+        with pytest.raises(ArithmeticError, match="raising precision to 120"):
+            solve(small_system(n=20, c=1.1, digits=60))
 
 
 class TestFloatShortcuts:

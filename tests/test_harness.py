@@ -269,6 +269,13 @@ class TestDeterministicAndCouple:
         assert out["limit"] == 0.0
         assert "stability" not in out
 
+    def test_cmd_deterministic_without_excited_node(self):
+        # psi0 = 0 is a fixed point of the mean-field map
+        config = harness.ExperimentConfig(n=100, i0=0, lam=1.5)
+        out = harness.cmd_deterministic(config)
+        assert out["limit"] == 0.0
+        assert all(row[1] == 0.0 and row[2] == 0.0 for row in out["rows"])
+
     def test_cmd_couple_reports(self):
         config = harness.ExperimentConfig(n=60, c=0.9, i0=2,
                                           replicates=300, master_seed=5)
@@ -334,6 +341,24 @@ class TestCli:
                              else ["--digits", "40"])])
         assert exc.value.code == 2
         assert "need at least 50 digits, got 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--c", "1.0", "--i0", "0"],
+        ["simulate", "--c", "1.0", "--i0", "200"],
+        ["couple", "--c", "1.0", "--i0", "0"],
+        ["couple", "--c", "1.0", "--i0", "100"],
+        ["deterministic", "--i0", "101"]])
+    def test_refuses_i0_outside_range(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "100"])
+        assert exc.value.code == 2
+        assert f"i0={argv[-1]} outside" in capsys.readouterr().err
+
+    def test_deterministic_from_zero_prints_limit_zero(self, capsys):
+        code = main(["deterministic", "--n", "100", "--i0", "0",
+                     "--lambda", "1.5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["limit"] == 0.0
 
     def test_exact_prints_rows(self, capsys):
         code = main(["exact", "--n", "8", "--c", "1.0", "--digits", "60"])
