@@ -14,6 +14,8 @@ import sys
 import numpy as np
 
 from . import harness
+from .exact import MAX_EXACT_N
+from .model import ModelParams
 
 
 # Each subcommand: its help, and the settings (harness.SETTINGS) its cmd_*
@@ -92,10 +94,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        settings = COMMANDS[args.command][1]
+        # the chain's own checks: n >= 3, 0 < p < 1, one of p or c
+        if "c" in settings:
+            config.model()
+        if "c_list" in settings:
+            for c in config.c_list:
+                ModelParams.from_intensity(config.n, c)
+        if "digits" in settings and config.n > MAX_EXACT_N:
+            raise ValueError(f"exact solves are capped at n={MAX_EXACT_N}, "
+                             f"got {config.n}")
         # a chain starts transient, a mean-field path anywhere in [0, n]
         low = 0 if args.command == "deterministic" else 1
-        if "i0" in COMMANDS[args.command][1] \
-                and not low <= config.i0 <= config.n - low:
+        if "i0" in settings and not low <= config.i0 <= config.n - low:
             raise ValueError(f"i0={config.i0} outside "
                              f"[{low}, {config.n - low}]")
     except (OSError, ValueError, configparser.Error) as exc:

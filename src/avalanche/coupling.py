@@ -12,6 +12,7 @@ Two constructions:
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -152,6 +153,41 @@ def step_divergence_bound(c: float, i: int, n: int) -> float:
     return 1.5 * c * i * i / n
 
 
+def _cdf(w: np.ndarray) -> np.ndarray:
+    """Read-only CDF of the weights w, formed as ``Generator.choice`` forms
+    it: normalize, cumsum, divide by the last entry.  So
+    ``cdf.searchsorted(rng.random(), side="right")`` is the draw
+    ``rng.choice(len(w), p=w / w.sum())`` makes from the same generator
+    state.  The trailing plateau of 1.0 is cut, as no u < 1 lands on it."""
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf[: int(cdf.searchsorted(1.0)) + 1].copy()
+    cdf.flags.writeable = False
+    return cdf
+
+
+@functools.lru_cache(maxsize=32)
+def _maximal_tables(params: ModelParams, i: int):
+    """(omega, overlap CDF, avalanche residual CDF, branching residual CDF).
+
+    omega is the overlap mass sum(min(p1, p2)) between the kernel row at
+    i and Poisson(c*i); a table is None where its branch cannot be
+    taken (the overlap when omega = 0, the residuals when omega >= 1).
+    """
+    a, b = _pad_pair(kernel_row(params, i),
+                     _poisson_pmf_truncated(params.c * i))
+    overlap = np.minimum(a, b)
+    omega = float(overlap.sum())
+    glued = _cdf(overlap) if omega > 0.0 else None
+    if omega >= 1.0:
+        return omega, glued, None, None
+    residuals = np.clip(a - b, 0.0, None), np.clip(b - a, 0.0, None)
+    if not all(r.sum() > 0.0 for r in residuals):
+        raise ValueError(f"a residual of the maximal coupling at i={i} has "
+                         f"no mass, but the overlap is only {omega!r}")
+    return (omega, glued, *map(_cdf, residuals))
+
+
 def step_coupled_maximal(params: ModelParams, i: int,
                          rng: np.random.Generator) -> tuple[int, int, bool]:
     """Maximally coupled one-step draw of (avalanche, branching) from i.
@@ -159,19 +195,14 @@ def step_coupled_maximal(params: ModelParams, i: int,
     Samples the pair so that P(x' != z') equals the exact TV distance
     between the kernel row at i and Poisson(c*i): draw from the overlap
     min(p1, p2) with probability 1 - TV, otherwise from the two
-    normalized residuals (whose supports are disjoint).
+    normalized residuals (whose supports are disjoint).  The tables are
+    built once per (params, i); each draw is one ``rng.random()``.
     """
     if i == 0:
         return 0, 0, False
-    a, b = _pad_pair(kernel_row(params, i),
-                     _poisson_pmf_truncated(params.c * i))
-    overlap = np.minimum(a, b)
-    omega = float(overlap.sum())
+    omega, glued, res_x, res_z = _maximal_tables(params, i)
     if rng.random() < omega:
-        v = int(rng.choice(len(a), p=overlap / omega))
+        v = int(glued.searchsorted(rng.random(), side="right"))
         return v, v, False
-    res_a = np.clip(a - b, 0.0, None)
-    res_b = np.clip(b - a, 0.0, None)
-    x_next = int(rng.choice(len(a), p=res_a / res_a.sum()))
-    z_next = int(rng.choice(len(a), p=res_b / res_b.sum()))
-    return x_next, z_next, True
+    return (int(res_x.searchsorted(rng.random(), side="right")),
+            int(res_z.searchsorted(rng.random(), side="right")), True)

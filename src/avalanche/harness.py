@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if self.max_steps < 1:
+            raise ValueError(f"need max_steps >= 1, got {self.max_steps}")
         PrecisionConfig(self.digits)  # refuses too few digits
 
     def model(self) -> ModelParams:

@@ -1,14 +1,17 @@
 """Monotone and maximal coupling tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import binom, poisson
 
+from avalanche import coupling
 from avalanche.coupling import (CoupledPath, check_coupling_constant,
-                                coupled_step_monotone,
-                                _poisson_pmf_truncated, simulate_coupled,
+                                coupled_step_monotone, _maximal_tables,
+                                _pad_pair, _poisson_pmf_truncated,
+                                simulate_coupled,
                                 step_coupled_maximal, step_divergence_bound,
                                 tv_binomial_poisson, tv_exact,
                                 tv_poisson_poisson)
@@ -218,3 +221,110 @@ class TestMaximalCoupling:
             1.5 * 0.5 * 4 / 100)
         assert step_divergence_bound(2.0, 2, 100) == pytest.approx(
             1.5 * 2 ** 1.5 * 2 ** 1.5 / 100)
+
+
+@pytest.fixture
+def fresh_tables():
+    _maximal_tables.cache_clear()
+    yield
+    _maximal_tables.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_tables")
+class TestMaximalTables:
+    @pytest.mark.parametrize("n, c, i", [(100, 0.8, 2), (100, 1.2, 4),
+                                         (60, 1.1, 4), (100, 50, 90),
+                                         (2000, 0.5, 1)])
+    def test_draws_are_the_per_call_choice_draws(self, n, c, i):
+        # the construction the tables replace: pad, min, and rng.choice
+        # on the overlap or on both residuals, from the same generator
+        params = ModelParams.from_intensity(n, c)
+        a, b = _pad_pair(kernel_row(params, i),
+                         _poisson_pmf_truncated(params.c * i))
+        overlap = np.minimum(a, b)
+        omega = float(overlap.sum())
+        res_a = np.clip(a - b, 0.0, None)
+        res_b = np.clip(b - a, 0.0, None)
+
+        def choice_probe(rng):
+            if rng.random() < omega:
+                v = int(rng.choice(len(a), p=overlap / omega))
+                return v, v, False
+            return (int(rng.choice(len(a), p=res_a / res_a.sum())),
+                    int(rng.choice(len(a), p=res_b / res_b.sum())), True)
+
+        probes = 20000
+        ref_rng, rng = replicate_rng(61, n + i), replicate_rng(61, n + i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = [choice_probe(ref_rng) for _ in range(probes)]
+            got = [step_coupled_maximal(params, i, rng)
+                   for _ in range(probes)]
+        assert got == ref
+        if omega == 0.0:  # (100, 50, 90): the chains always come apart
+            assert all(dv for _, _, dv in got)
+
+    def test_tables_built_once_per_state(self, monkeypatch):
+        calls = {"kernel_row": 0, "_poisson_pmf_truncated": 0}
+        for name in calls:
+            original = getattr(coupling, name)
+
+            def counted(*args, _name=name, _fn=original):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(coupling, name, counted)
+        params = ModelParams.from_intensity(100, 0.8)
+        rng = replicate_rng(67, 0)
+        for _ in range(1000):
+            step_coupled_maximal(params, 2, rng)
+        assert calls == {"kernel_row": 1, "_poisson_pmf_truncated": 1}
+
+    def test_cache_stays_at_its_bound(self):
+        bound = _maximal_tables.cache_info().maxsize
+        params = ModelParams.from_intensity(100, 0.8)
+        rng = replicate_rng(71, 0)
+        for i in range(1, bound + 6):
+            step_coupled_maximal(params, i, rng)
+        assert _maximal_tables.cache_info().currsize == bound
+
+    def test_state_outside_range_raises_every_call(self):
+        params = ModelParams.from_intensity(40, 0.9)
+        for i in (-1, 41, -1, 41):
+            with pytest.raises(ValueError, match="outside"):
+                step_coupled_maximal(params, i, replicate_rng(0, 0))
+        info = _maximal_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 0, 0)
+
+    def test_zero_overlap_stores_no_overlap_table(self):
+        omega, glued, res_x, res_z = _maximal_tables(
+            ModelParams.from_intensity(100, 50), 90)
+        assert omega == 0.0 and glued is None
+        assert res_x[-1] == res_z[-1] == 1.0
+
+    def test_tiny_overlap_is_drawable(self):
+        omega, glued, _, _ = _maximal_tables(
+            ModelParams.from_intensity(20, 19), 10)
+        assert 0.0 < omega < 1e-60
+        assert glued[-1] == 1.0 and np.all(np.diff(glued) >= 0)
+
+    def test_reachable_empty_residual_raises(self, monkeypatch):
+        # a kernel row equal to the truncated Poisson pmf leaves both
+        # residuals empty while the overlap mass stays below 1
+        monkeypatch.setattr(coupling, "kernel_row",
+                            lambda params, i: _poisson_pmf_truncated(
+                                params.c * i))
+        params = ModelParams.from_intensity(40, 0.9)
+        assert _poisson_pmf_truncated(params.c * 3).sum() < 1.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no mass"):
+                step_coupled_maximal(params, 3, replicate_rng(0, 0))
+
+    def test_tables_are_read_only_and_trimmed(self):
+        omega, *tables = _maximal_tables(
+            ModelParams.from_intensity(2000, 0.5), 1)
+        for cdf in tables:
+            assert not cdf.flags.writeable
+            assert len(cdf) < 30
+            assert cdf[-1] == 1.0 and (cdf[:-1] < 1.0).all()
+            with pytest.raises(ValueError):
+                cdf[0] = 0.5

@@ -354,6 +354,31 @@ class TestCli:
         assert exc.value.code == 2
         assert f"i0={argv[-1]} outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["simulate", "--n", "2", "--c", "0.5"], "need n >= 3, got n=2"),
+        (["couple", "--n", "100", "--c", "0", "--i0", "2"],
+         "need 0 < p < 1, got p=0.0"),
+        (["exact", "--n", "100", "--c", "150"], "need 0 < p < 1, got p=1.5"),
+        (["exact", "--n", "2500", "--c", "1.0", "--digits", "50"],
+         "exact solves are capped at n=2000, got 2500"),
+        (["figure", "--n", "2"], "need n >= 3, got n=2"),
+        (["simulate", "--n", "100"], "one of p or c must be set")],
+        ids=["n_below_3", "p_zero", "p_above_1", "n_above_exact_cap",
+             "figure_n_below_3", "no_intensity"])
+    def test_refuses_bad_model_parameters(self, argv, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{argv[0]}: {reason}" in capsys.readouterr().err
+
+    def test_refuses_max_steps_below_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\nmax_steps = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--c", "0.8", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "need max_steps >= 1, got 0" in capsys.readouterr().err
+
     def test_deterministic_from_zero_prints_limit_zero(self, capsys):
         code = main(["deterministic", "--n", "100", "--i0", "0",
                      "--lambda", "1.5"])
