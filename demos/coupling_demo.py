@@ -8,10 +8,9 @@ distance and its analytical envelope.
 
 import numpy as np
 
-from avalanche.coupling import (_poisson_pmf_truncated, simulate_coupled,
-                                step_coupled_maximal, step_divergence_bound,
-                                tv_exact)
-from avalanche.model import ModelParams, kernel_row
+from avalanche.coupling import (simulate_coupled, step_coupled_maximal,
+                                step_divergence_bound, step_divergence_tv)
+from avalanche.model import ModelParams
 from avalanche.rng import replicate_rng
 
 N = 100
@@ -37,8 +36,7 @@ def main():
           f"  <=  branching {np.mean(gap_z):.3f}")
 
     i = 4
-    tv = tv_exact(kernel_row(params, i),
-                  _poisson_pmf_truncated(params.c * i))
+    tv = step_divergence_tv(params, i)
     probes = 20000
     rng2 = replicate_rng(SEED, 1)
     diverged = sum(step_coupled_maximal(params, i, rng2)[2]

@@ -18,26 +18,6 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ConditionCD:
-    """Intensity band 0 < d <= n*p <= c of the two-sided growth condition."""
-
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not 0.0 < self.d <= self.c:
-            raise ValueError(f"need 0 < d <= c, got d={self.d}, c={self.c}")
-
-    @property
-    def supercritical(self) -> bool:
-        return self.d > 1.0
-
-    @property
-    def subcritical(self) -> bool:
-        return self.c < 1.0
-
-
 @dataclass
 class BoundReport:
     """One named bound evaluated at one parameter point.

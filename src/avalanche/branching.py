@@ -29,14 +29,6 @@ class BranchingParams:
         if self.i0 < 1:
             raise ValueError(f"initial population must be >= 1, got {self.i0}")
 
-    @property
-    def regime(self) -> str:
-        if self.lam < 1:
-            return "subcritical"
-        if self.lam > 1:
-            return "supercritical"
-        return "critical"
-
 
 @dataclass(frozen=True)
 class BranchingPath:
@@ -139,13 +131,13 @@ def borel_tanner_pmf(lam: float, i0: int, j) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def borel_tanner_total_mass(lam: float, i0: int,
-                            rel_tol: float = 1e-15,
-                            max_j: int = 10 ** 6) -> float:
-    """Sum the Borel-Tanner pmf adaptively until the tail is negligible.
+def borel_tanner_total_mass(lam: float, i0: int) -> float:
+    """Sum the Borel-Tanner pmf adaptively until the last block's last
+    term is below rel_tol of the total.
 
-    The critical tail decays like j**-1.5, hence the hard cap.
+    The critical tail decays like j**-1.5, hence the hard cap max_j.
     """
+    rel_tol, max_j = 1e-15, 10 ** 6
     if lam < 1:
         min_j = int(10.0 / (1.0 - lam) ** 2)
     else:

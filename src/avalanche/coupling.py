@@ -129,17 +129,24 @@ def tv_exact(pmf1: np.ndarray, pmf2: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def _poisson_pmf_truncated(mean: float, tail_tol: float = 1e-12) -> np.ndarray:
-    """Poisson pmf out to cumulative mass 1 - tail_tol.
+def _poisson_pmf_truncated(mean: float) -> np.ndarray:
+    """Poisson pmf out to cumulative mass 1 - 1e-12.
 
-    The cut is one past the smallest k with P(K > k) <= tail_tol; the
-    search window below holds it for any tail_tol >= 1e-70."""
+    The cut is one past the smallest k with P(K > k) <= 1e-12; the
+    search window below holds it for any tolerance >= 1e-70."""
     if mean == 0.0:
         return np.array([1.0])
     k = np.arange(int(mean + 20 * math.sqrt(mean)) + 40)
-    hi = int(np.argmax(pdtrc(k, mean) <= tail_tol)) + 1
+    hi = int(np.argmax(pdtrc(k, mean) <= 1e-12)) + 1
     k = np.arange(hi + 1)
     return np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
+
+
+def step_divergence_tv(params: ModelParams, i: int) -> float:
+    """Exact TV distance between the kernel row at i and Poisson(c*i):
+    the one-step divergence probability of the maximal coupling."""
+    return tv_exact(kernel_row(params, i),
+                    _poisson_pmf_truncated(params.c * i))
 
 
 def step_divergence_bound(c: float, i: int, n: int) -> float:

@@ -1,4 +1,4 @@
-"""Exact absorbing-chain analytics at arbitrary precision.
+"""Exact absorbing-chain analytics, in mpf and in float64.
 
 The transient part of the avalanche kernel is the (n-1)x(n-1)
 substochastic matrix Q(i,j), i,j in 1..n-1.  Expected duration solves
@@ -6,10 +6,11 @@ substochastic matrix Q(i,j), i,j in 1..n-1.  Expected duration solves
 probabilities are iterated products Q^m e, and reach probabilities
 restrict the system to the states below the target level.
 
-All solves run in mpmath arbitrary precision (default 400 decimal
-digits) on one cached LU of I-Q per chain, without pivoting, each with
-a residual check; float64 shortcuts are provided for large n where
-cubic cost at high precision is prohibitive.
+The mpf tier runs in arbitrary precision (default 400 decimal digits)
+on one cached LU of I-Q per chain, without pivoting, each solve with a
+residual check.  Its float64 twins, for large n where cubic cost at high
+precision is prohibitive, share one checked solve and refuse what the
+mpf twins refuse; the Q-taking forms let one float Q serve many.
 """
 
 from dataclasses import dataclass
@@ -190,12 +191,17 @@ def duration_survival(system: SubstochasticSystem, m: int) -> list:
     n = system.n
     with mp.workdps(digits + _GUARD_DIGITS):
         v = [mp.mpf(1)] * (n - 1)
-        rows = [system.row(i, digits) for i in range(1, n)]
+        rows = [system.row(i, digits)[1:] for i in range(1, n)]
         for _ in range(m):
-            v = [mp.fsum(row[j] * v[j - 1]
-                         for j in range(1, min(len(row), n)))
-                 for row in rows]
+            v = [mp.fdot(row, v) for row in rows]
     return v
+
+
+def _states_below(n: int, j_level: int) -> int:
+    """The count of transient states below a reach level in [1, n]."""
+    if not 1 <= j_level <= n:
+        raise ValueError(f"level must lie in [1, {n}], got {j_level}")
+    return j_level - 1
 
 
 def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
@@ -206,9 +212,7 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     reduced right-hand side is minus the U rows' sums over columns >=
     j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
     """
-    if not 1 <= j_level <= system.n:
-        raise ValueError(f"level must lie in [1, {system.n}], got {j_level}")
-    m = j_level - 1
+    m = _states_below(system.n, j_level)
     h = _checked_solve(system, m, lambda lu: [-mp.fsum(lu[i][m:])
                                               for i in range(m)], [0] * m)
     if any(v < 0 or v > 1 for v in h):
@@ -256,29 +260,31 @@ def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
     return q
 
 
-def _checked_float_solve(a: np.ndarray, rhs: np.ndarray,
+def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
                          where: str) -> np.ndarray:
-    """Solve a x = rhs in float64; raise unless x is finite and the
-    residual is below 1e-8 * max(1, |rhs|_inf).
+    """Solve (I-Q) x = rhs over states 1..k in float64; raise unless x is
+    finite and the residual is below 1e-8 * max(1, |rhs|_inf).
 
     Near and above the transition I - Q can be too ill-conditioned for
     float64: the solve then returns garbage, negative values included.
     Callers check their own invariants on top."""
+    a = np.eye(k) - q[:k, :k]   # k = 0 (a reach of level 1) is empty
     x = np.linalg.solve(a, rhs)
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
-    residual = float(np.max(np.abs(a @ x - rhs)))
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(rhs)))):
+    residual = float(np.max(np.abs(a @ x - rhs), initial=0.0))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(rhs), initial=0.0))):
         raise ArithmeticError(f"{where} has residual {residual:.3g}; "
                               "use the mpf solver")
     return x
 
 
-def _float_expectation(params: ModelParams, q: np.ndarray, rhs: np.ndarray,
-                       what: str) -> np.ndarray:
-    """Checked (I-Q)^-1 rhs, at least rhs as the chain starts in i."""
+def float_expectation(params: ModelParams, q: np.ndarray, rhs: np.ndarray,
+                      what: str) -> np.ndarray:
+    """Checked (I-Q)^-1 rhs from the float Q of ``params``, at least rhs
+    as the chain starts in i."""
     where = f"float64 {what} at n={params.n}, p={params.p}"
-    x = _checked_float_solve(np.eye(len(q)) - q, rhs, where)
+    x = _checked_float_solve(q, params.n - 1, rhs, where)
     if (x < rhs).any():
         raise ArithmeticError(f"{where} falls below its floor "
                               f"(min {float(np.min(x - rhs)):.3g} off)")
@@ -288,12 +294,58 @@ def _float_expectation(params: ModelParams, q: np.ndarray, rhs: np.ndarray,
 def expected_duration_float(params: ModelParams) -> np.ndarray:
     """float64 version of expected_duration for large n; raises
     ArithmeticError where float64 cannot be trusted."""
-    return _float_expectation(params, build_q_float(params),
-                              np.ones(params.n - 1), "expected duration")
+    return float_expectation(params, build_q_float(params),
+                             np.ones(params.n - 1), "expected duration")
 
 
 def expected_size_float(params: ModelParams) -> np.ndarray:
     """float64 version of expected_size for large n; raises
     ArithmeticError where float64 cannot be trusted."""
-    return _float_expectation(params, build_q_float(params),
-                              np.arange(1.0, params.n), "expected size")
+    return float_expectation(params, build_q_float(params),
+                             np.arange(1.0, params.n), "expected size")
+
+
+def reach_float(params: ModelParams, q: np.ndarray,
+                j_level: int) -> np.ndarray:
+    """float64 reach_probability from the rows of a float Q of ``params``
+    below the level (at least j_level - 1 of them)."""
+    lev = _states_below(params.n, j_level)
+    where = f"float64 reach of level {j_level} at n={params.n}, p={params.p}"
+    h = _checked_float_solve(q, lev, q[:lev, lev:].sum(axis=1), where)
+    # rounding may carry a probability a few ulps past [0, 1]; more is a
+    # failed solve
+    if not ((h >= -1e-8) & (h <= 1 + 1e-8)).all():
+        raise ArithmeticError(f"{where} escaped [0, 1]")
+    return np.clip(h, 0.0, 1.0)
+
+
+def reach_probability_float(params: ModelParams, j_level: int) -> np.ndarray:
+    """float64 version of reach_probability, from the rows of Q below
+    the level."""
+    return reach_float(
+        params, build_q_float(params, _states_below(params.n, j_level)),
+        j_level)
+
+
+def q_powers(q: np.ndarray, v: np.ndarray, m_max: int) -> np.ndarray:
+    """Q^m v for m = 0..m_max in float64: P(T > m | X_0 = i) for v = 1,
+    and E(X_m | X_0 = i) for v = (1, ..., n-1), as Q puts no mass on n."""
+    if m_max < 0:
+        raise ValueError(f"horizon must be >= 0, got {m_max}")
+    out = [v]
+    for _ in range(m_max):
+        out.append(q @ out[-1])
+    return np.array(out)
+
+
+def kernel_power_mean(params: ModelParams, i0: int, k: int) -> float:
+    """E(X_k | X_0 = i0) for 0 <= i0 <= n, from k float64 products of Q
+    with (1, ..., n-1)."""
+    n = params.n
+    if not 0 <= i0 <= n or k < 0:
+        raise ValueError(f"need 0 <= i0 <= {n} and k >= 0, "
+                         f"got i0={i0}, k={k}")
+    if i0 in (0, n):
+        return float(i0) if k == 0 else 0.0
+    means = q_powers(build_q_float(params), np.arange(1.0, n), k)
+    return float(means[k][i0 - 1])

@@ -5,7 +5,7 @@ Trajectory experiments cut their replicates into blocks of BLOCK_SIZE
 and run block b in lockstep on the stream keyed (master_seed, b); the
 coupling campaign keys path r by (master_seed, r).  Either way the
 estimates are bit-identical for any worker count and any scheduling
-order.
+order.  Every exact reference, mpf or float64, comes from ``exact``.
 """
 
 import concurrent.futures
@@ -13,26 +13,28 @@ import configparser
 import csv
 import json
 import math
+import statistics
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import ndtri
 
 from . import bounds as bc
 from . import meanfield as mf
 from .branching import (agresti_duration_bounds, gw_extinct_by,
                         lindvall_max_bound)
 from .coupling import (check_coupling_constant, simulate_coupled,
-                       step_coupled_maximal, tv_exact, step_divergence_bound,
-                       _poisson_pmf_truncated)
+                       step_coupled_maximal, step_divergence_bound,
+                       step_divergence_tv)
 from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
-                    expected_duration, expected_size, _checked_float_solve,
-                    _float_expectation)
-from .model import ModelParams, binomial_step, kernel_row, run_block
+                    expected_duration, expected_size, float_expectation,
+                    q_powers, reach_float)
+from .exact import kernel_power_mean, reach_probability_float  # re-exported
+from .model import ModelParams, binomial_step, run_block
 from .rng import replicate_rng
 
 SCHEMA_VERSION = 1
+_Z99 = statistics.NormalDist().inv_cdf(0.995)  # two-sided 99% quantile
 
 
 # Every setting once: ExperimentConfig field -> (command line flag, or None
@@ -127,22 +129,21 @@ class EstimateWithCI:
     point: float
     stderr: float
     replicates: int
-    level: float = 0.99
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray,
-                     level: float = 0.99) -> "EstimateWithCI | None":
+    def from_samples(cls, samples: np.ndarray) -> "EstimateWithCI | None":
         """Mean and standard error of the sample; None if it is empty."""
         x = np.asarray(samples, dtype=float)
         k = len(x)
         if k == 0:
             return None
         sd = x.std(ddof=1) if k > 1 else 0.0
-        return cls(float(x.mean()), float(sd / math.sqrt(k)), k, level)
+        return cls(float(x.mean()), float(sd / math.sqrt(k)), k)
 
     def interval(self) -> tuple[float, float]:
-        z = ndtri(0.5 + self.level / 2.0)
-        return self.point - z * self.stderr, self.point + z * self.stderr
+        """The two-sided 99% normal interval."""
+        return (self.point - _Z99 * self.stderr,
+                self.point + _Z99 * self.stderr)
 
 
 # Replicates per block: block b of every experiment draws from the stream
@@ -186,17 +187,16 @@ def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
 
 
 def survival_fraction(params: ModelParams, i0: int, replicates: int,
-                      master_seed: int, m: int,
-                      workers: int = 1) -> EstimateWithCI:
+                      master_seed: int, m: int) -> EstimateWithCI:
     """Monte Carlo estimate of P(T > m)."""
     stats = run_trajectories(params, i0, replicates, master_seed,
-                             workers, max_steps=m + 1)
+                             max_steps=m + 1)
     return EstimateWithCI.from_samples(stats[:, 0] > m)
 
 
 def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
-                           replicates: int, master_seed: int,
-                           max_steps: int = 1000) -> EstimateWithCI:
+                           replicates: int,
+                           master_seed: int) -> EstimateWithCI:
     """Monte Carlo estimate of P(hit [j_level, n] before 0 | X_0 = i0).
 
     Runs all replicates in vectorized lockstep and freezes each one as
@@ -204,8 +204,9 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
     cheap in the supercritical regime, where surviving paths settle into
     a quasi-equilibrium and would otherwise run for an astronomical
     number of steps.  Raises if any replicate is still undecided at the
-    cap (hovering strictly between 0 and the level).
+    cap of 1000 steps (hovering strictly between 0 and the level).
     """
+    max_steps = 1000
     rng = replicate_rng(master_seed, 0)
     n = params.n
     logq = math.log1p(-params.p)
@@ -364,19 +365,11 @@ def _drift_reports(params: ModelParams, q: np.ndarray) -> list:
     ]
 
 
-def _q_powers(q: np.ndarray, v: np.ndarray, m_max: int) -> np.ndarray:
-    """Q^m v for m = 0..m_max: P(T > m | X_0 = i) for v = 1 and, as in
-    ``_drift_reports``, E(X_m | X_0 = i) for v = (1, ..., n-1)."""
-    out = [v]
-    for _ in range(m_max):
-        out.append(q @ out[-1])
-    return np.array(out)
-
-
 def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                     i0_grid=(1, 2)) -> list[bc.BoundReport]:
     """Run every applicable bound against exact comparators on a grid;
-    the finite-n references all come from one float64 Q per (n, c)."""
+    the finite-n references all come from one float64 Q per (n, c),
+    with one reach solve per level."""
     reports = []
     for c in c_grid:
         for i0 in i0_grid:
@@ -392,10 +385,11 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
             params = ModelParams.from_intensity(n, c)
             q = build_q_float(params)
             reports.extend(_drift_reports(params, q))
-            surv = _q_powers(q, np.ones(n - 1), 10)
-            means = _q_powers(q, np.arange(1.0, n), 5)
-            es = _float_expectation(params, q, np.arange(1.0, n),
-                                    "expected size") if c < 1.0 else None
+            surv = q_powers(q, np.ones(n - 1), 10)
+            means = q_powers(q, np.arange(1.0, n), 5)
+            es = float_expectation(params, q, np.arange(1.0, n),
+                                   "expected size") if c < 1.0 else None
+            tails = {}   # reach of level m + 1, solved once per (n, c)
             for i0 in i0_grid:
                 eh0 = i0 * (n - i0)
                 for k in (1, 3, 5):
@@ -431,8 +425,9 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                     reports.append(rep.judge())
                 if c <= 1.0:
                     for m in (max(5, i0 + 1), 10, 15):
-                        tail = _reach_float(params, q, m + 1)
-                        ref = float(tail[i0 - 1]) if i0 <= m else 1.0
+                        if m not in tails:
+                            tails[m] = reach_float(params, q, m + 1)
+                        ref = float(tails[m][i0 - 1]) if i0 <= m else 1.0
                         if c == 1.0:
                             rep = bc.maxima_bounds(params, i0, m)
                             rep.reference_value = ref
@@ -448,37 +443,6 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                                 note="asymptotic bound checked at finite n"
                             ).judge())
     return reports
-
-
-def kernel_power_mean(params: ModelParams, i0: int, k: int) -> float:
-    """Exact E(X_k | X_0 = i0), from k products of Q with (1, ..., n-1)."""
-    n = params.n
-    if i0 in (0, n):
-        return float(i0) if k == 0 else 0.0
-    v = _q_powers(build_q_float(params), np.arange(1.0, n), k)
-    return float(v[k][i0 - 1])
-
-
-def _reach_float(params: ModelParams, q: np.ndarray,
-                 j_level: int) -> np.ndarray:
-    """P(max >= j_level | X_0 = i), i = 1..j_level-1, from the rows of
-    Q below the level (1 < j_level <= n)."""
-    lev = j_level - 1
-    where = f"float64 reach of level {j_level} at n={params.n}, p={params.p}"
-    h = _checked_float_solve(np.eye(lev) - q[:lev, :lev],
-                             q[:lev, lev:].sum(axis=1), where)
-    # rounding may carry a probability a few ulps past [0, 1]; more is a
-    # failed solve
-    if not ((h >= -1e-8) & (h <= 1 + 1e-8)).all():
-        raise ArithmeticError(f"{where} escaped [0, 1]")
-    return np.clip(h, 0.0, 1.0)
-
-
-def reach_probability_float(params: ModelParams, j_level: int) -> np.ndarray:
-    """float64 P(max >= j_level | X_0 = i), i = 1..j_level-1."""
-    if not 1 < j_level <= params.n:
-        return np.zeros(max(j_level - 1, 0))
-    return _reach_float(params, build_q_float(params, j_level - 1), j_level)
 
 
 def cmd_verify(config: ExperimentConfig) -> dict:
@@ -537,7 +501,6 @@ def cmd_couple(config: ExperimentConfig) -> dict:
     probes = min(config.replicates, 10 ** 5)
     diverged = sum(step_coupled_maximal(params, i, rng)[2]
                    for _ in range(probes))
-    tv = tv_exact(kernel_row(params, i), _poisson_pmf_truncated(c * i))
     return {
         "coupling_c": coupling_c,
         "dominance_violations": viol,
@@ -546,6 +509,6 @@ def cmd_couple(config: ExperimentConfig) -> dict:
         "size_z": EstimateWithCI.from_samples(np.array(sz)),
         "divergence_rate": EstimateWithCI.from_samples(
             np.arange(probes) < diverged),
-        "divergence_tv": tv,
+        "divergence_tv": step_divergence_tv(params, i),
         "divergence_envelope": step_divergence_bound(c, i, params.n),
     }

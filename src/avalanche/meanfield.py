@@ -181,16 +181,15 @@ class FluctuationModel:
 
 
 def simulate_ar1(model: FluctuationModel, rng: np.random.Generator,
-                 y0: float = 0.0,
                  replicates: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sample AR(1) paths Y_{k+1} = g'(psi_k) Y_k + e_k, e_k ~ N(0, v(psi_k)).
+    """Sample AR(1) paths Y_{k+1} = g'(psi_k) Y_k + e_k, e_k ~ N(0, v(psi_k)),
+    from Y_0 = 0.
 
     Returns (y, y_het) arrays of shape (replicates, len(psi)); the
     heterogeneity companion is (1 - 2*psi_k)/2 * Y_k.
     """
     k_max = len(model.psi)
-    y = np.empty((replicates, k_max))
-    y[:, 0] = y0
+    y = np.zeros((replicates, k_max))
     for k in range(k_max - 1):
         e = rng.normal(0.0, math.sqrt(max(model.variances[k], 0.0)),
                        size=replicates)
@@ -199,10 +198,10 @@ def simulate_ar1(model: FluctuationModel, rng: np.random.Generator,
     return y, y_het
 
 
-def ar1_variance(model: FluctuationModel, var0: float = 0.0) -> np.ndarray:
-    """Closed-form variance recursion Var_{k+1} = slope**2 Var_k + v_k."""
-    out = np.empty(len(model.psi))
-    out[0] = var0
+def ar1_variance(model: FluctuationModel) -> np.ndarray:
+    """Closed-form variance recursion Var_{k+1} = slope**2 Var_k + v_k,
+    from Var_0 = 0."""
+    out = np.zeros(len(model.psi))
     for k in range(len(model.psi) - 1):
         out[k + 1] = model.slopes[k] ** 2 * out[k] + model.variances[k]
     return out

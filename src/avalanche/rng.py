@@ -3,7 +3,8 @@
 Streams are Philox generators keyed by ``(master_seed, index)``.
 ``harness.run_trajectories`` keys one stream per fixed-size block of
 replicates, ``(master_seed, block_index)``; the coupling campaign keys
-one per path.  Work is handed to workers in whole streams, so estimates
+one per path and one more for its probes; the other ensemble runs use
+index 0.  Work is handed to workers in whole streams, so estimates
 are bit-identical no matter how it is scheduled.
 """
 

@@ -12,18 +12,6 @@ from avalanche.harness import kernel_power_mean, reach_probability_float
 from avalanche.model import ModelParams
 
 
-class TestConditionCD:
-    def test_regime_flags(self):
-        band = bc.ConditionCD(c=1.5, d=1.2)
-        assert band.supercritical and not band.subcritical
-        band = bc.ConditionCD(c=0.8, d=0.5)
-        assert band.subcritical and not band.supercritical
-
-    def test_rejects_inverted_band(self):
-        with pytest.raises(ValueError):
-            bc.ConditionCD(c=0.5, d=0.8)
-
-
 class TestBoundReport:
     def test_holds_inside(self):
         rep = bc.BoundReport("b", {}, lower=0.0, upper=1.0,

@@ -9,8 +9,9 @@ from avalanche.exact import (MAX_EXACT_N, PrecisionConfig,
                              SubstochasticSystem, build_q_float,
                              duration_survival, expected_duration,
                              expected_duration_float, expected_size,
-                             expected_size_float, max_distribution,
-                             max_survival, reach_probability)
+                             expected_size_float, kernel_power_mean,
+                             max_distribution, max_survival, q_powers,
+                             reach_probability, reach_probability_float)
 from avalanche.model import ModelParams, kernel_row
 
 
@@ -157,7 +158,9 @@ class TestSurvival:
 
 class TestReachAndMax:
     def test_level_one_empty(self):
-        assert reach_probability(small_system(), 1) == []
+        system = small_system()
+        assert reach_probability(system, 1) == []
+        assert reach_probability_float(system.params, 1).shape == (0,)
 
     def test_monotone_in_start(self):
         system = small_system(n=30, c=1.2)
@@ -341,3 +344,40 @@ class TestFloatShortcuts:
         es = expected_size_float(params)
         i = np.arange(1.0, 40.0)
         np.testing.assert_allclose(es, i + q @ es, rtol=1e-9)
+
+
+class TestFloatTwinRefusals:
+    """Each float twin refuses what its mpf twin refuses (n = 10)."""
+
+    params = ModelParams(10, 0.1)
+
+    @pytest.mark.parametrize("level", [15, -3])
+    def test_reach_refuses_level_outside_range(self, level):
+        system = SubstochasticSystem(self.params, PrecisionConfig(50))
+        with pytest.raises(ValueError) as mpf_exc:
+            reach_probability(system, level)
+        with pytest.raises(ValueError) as float_exc:
+            reach_probability_float(self.params, level)
+        assert str(float_exc.value) == str(mpf_exc.value) \
+            == f"level must lie in [1, 10], got {level}"
+
+    def test_q_powers_refuses_negative_horizon(self):
+        system = SubstochasticSystem(self.params, PrecisionConfig(50))
+        with pytest.raises(ValueError) as mpf_exc:
+            duration_survival(system, -1)
+        with pytest.raises(ValueError) as float_exc:
+            q_powers(build_q_float(self.params), np.ones(9), -1)
+        assert str(float_exc.value) == str(mpf_exc.value)
+
+    def test_kernel_power_mean_refuses_negative_start(self):
+        # used to wrap round to E(X_2 | X_0 = 8)
+        with pytest.raises(ValueError, match="got i0=-1, k=2"):
+            kernel_power_mean(self.params, -1, 2)
+
+    def test_kernel_power_mean_refuses_start_above_n(self):
+        with pytest.raises(ValueError, match="got i0=12, k=2"):
+            kernel_power_mean(self.params, 12, 2)
+
+    def test_kernel_power_mean_refuses_negative_steps(self):
+        with pytest.raises(ValueError, match="got i0=3, k=-1"):
+            kernel_power_mean(self.params, 3, -1)

@@ -17,7 +17,7 @@ from avalanche import bounds as bc
 from avalanche import harness
 from avalanche.cli import COMMANDS, build_parser, config_from_args, main
 from avalanche.exact import (build_q_float, expected_duration_float,
-                             expected_size_float)
+                             expected_size_float, q_powers)
 from avalanche.model import ModelParams, kernel_row, run_block
 from avalanche.rng import replicate_rng
 
@@ -104,7 +104,7 @@ class TestTrajectories:
     def test_survival_and_reach_fractions(self):
         params = ModelParams.from_intensity(60, 1.0)
         surv = harness.survival_fraction(params, 1, 2000, 5, m=2)
-        ref = harness._q_powers(build_q_float(params), np.ones(59), 2)[2][0]
+        ref = q_powers(build_q_float(params), np.ones(59), 2)[2][0]
         assert abs(surv.point - ref) < 4 * surv.stderr + 1e-9
         reach = harness.first_passage_fraction(params, 1, 5, 2000, 5)
         ref = harness.reach_probability_float(params, 5)[0]
@@ -405,6 +405,19 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["dominance_violations"] == 0
+
+    def test_verify_bundle(self, tmp_path, capsys):
+        out = tmp_path / "reports.json"
+        code = main(["verify", "--out", str(out)])
+        assert code == 0
+        counts = {"holds": 318, "violated": 0, "inconclusive": 23}
+        assert json.loads(capsys.readouterr().out) == counts
+        bundle = json.loads(out.read_text())
+        assert bundle["schema_version"] == harness.SCHEMA_VERSION
+        assert bundle["counts"] == counts
+        assert len(bundle["reports"]) == 341
+        assert [r["satisfied"] for r in bundle["reports"]].count(
+            "holds") == 318
 
     def test_figure_csv(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"
