@@ -16,6 +16,7 @@ from .branching import agresti_duration_bounds, extinction_prob
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
+SCALING_TOL = 0.05  # largest final gap duration_scaling_check accepts
 
 
 @dataclass
@@ -297,14 +298,13 @@ def check_scaling_schedule(lam: float, schedule) -> None:
 
 
 def duration_scaling_check(lam: float, i0: int, schedule: dict,
-                           survival: dict,
-                           tol: float = 0.05) -> BoundReport:
+                           survival: dict) -> BoundReport:
     """Compare survival probabilities along an m_n schedule to the limit.
 
     ``schedule`` maps n to m_n; ``survival`` maps n to P(T_n > m_n)
     (exact or Monte Carlo).  The transformed sequence must approach the
     predicted limit: the gap at the largest n must be the smallest and
-    fall below ``tol``.
+    fall below ``SCALING_TOL``.
     """
     check_scaling_schedule(lam, schedule)
     limit = duration_scaling_limit(lam, i0)
@@ -322,11 +322,11 @@ def duration_scaling_check(lam: float, i0: int, schedule: dict,
     report = BoundReport(
         "duration_scaling",
         {"lam": lam, "i0": i0, "schedule": dict(schedule)},
-        lower=limit - tol, upper=limit + tol,
+        lower=limit - SCALING_TOL, upper=limit + SCALING_TOL,
         reference_value=limit - final,
         note=f"gap sequence {['%.4g' % g for g in gaps]}")
-    report.satisfied = HOLDS if (final <= tol and final <= min(gaps) + 1e-12) \
-        else VIOLATED
+    report.satisfied = HOLDS if (final <= SCALING_TOL
+                                 and final <= min(gaps) + 1e-12) else VIOLATED
     return report
 
 

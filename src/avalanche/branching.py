@@ -101,7 +101,9 @@ def extinction_prob(mu: float) -> float:
     if mu == 1.0:
         raise ValueError("mu = 1: the fixed point equation only has root 1")
     alpha = _solve_u(mu) / mu
-    if abs(alpha - math.exp(-(1.0 - alpha) * mu)) >= FIXED_POINT_TOL:
+    # relative check: for mu << 1 the dual root alpha is large
+    if (abs(alpha - math.exp(-(1.0 - alpha) * mu))
+            >= FIXED_POINT_TOL * max(1.0, alpha)):
         raise ArithmeticError(f"fixed point solve failed to converge at mu={mu}")
     return alpha
 

@@ -8,10 +8,9 @@ refuses the rest; flags override file values.
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import harness
 from .exact import MAX_EXACT_N
@@ -76,19 +75,6 @@ def config_from_args(args) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(**given)
 
 
-def _jsonable(obj):
-    if isinstance(obj, harness.EstimateWithCI):
-        return {"point": obj.point, "stderr": obj.stderr,
-                "replicates": obj.replicates}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -112,7 +98,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, configparser.Error) as exc:
         parser.error(f"{args.command}: {exc}")
     if args.command == "simulate":
-        print(json.dumps(_jsonable(harness.cmd_simulate(config))))
+        print(json.dumps(harness.cmd_simulate(config),
+                         default=dataclasses.asdict))
     elif args.command == "exact":
         result = harness.cmd_exact(config)
         et, es = result["expected_duration"], result["expected_size"]
@@ -137,10 +124,10 @@ def main(argv=None) -> int:
         return 1 if bundle["counts"]["violated"] else 0
     elif args.command == "deterministic":
         result = harness.cmd_deterministic(config)
-        print(json.dumps(_jsonable({k: v for k, v in result.items()
-                                    if k != "rows"})))
+        print(json.dumps({k: v for k, v in result.items() if k != "rows"}))
     elif args.command == "couple":
-        print(json.dumps(_jsonable(harness.cmd_couple(config))))
+        print(json.dumps(harness.cmd_couple(config),
+                         default=dataclasses.asdict))
     return 0
 
 

@@ -18,7 +18,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .model import ModelParams, excite_probability, kernel_row
+from .model import (DEFAULT_MAX_STEPS, ModelParams, excite_probability,
+                    kernel_row)
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,18 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
 
 def simulate_coupled(params: ModelParams, c: float, i0: int,
                      rng: np.random.Generator,
-                     max_steps: int = 10 ** 6,
                      z_cap: int = 10 ** 9) -> CoupledPath:
-    """Run the monotone triple from x = q = z = i0 until both chains die."""
+    """Run the monotone triple from x = q = z = i0 until both chains die.
+
+    Truncated after ``DEFAULT_MAX_STEPS`` steps or once z passes z_cap.
+    """
     if i0 < 1:
         raise ValueError(f"need i0 >= 1, got {i0}")
     check_coupling_constant(params, c)
     xs, qs, zs = [i0], [i0], [i0]
     x, z = i0, i0
     truncated = False
-    for _ in range(max_steps):
+    for _ in range(DEFAULT_MAX_STEPS):
         if x == 0 and z == 0:
             break
         x, q, z = coupled_step_monotone(params, c, x, z, rng)

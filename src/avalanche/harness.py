@@ -1,11 +1,12 @@
 """Experiment harness: configuration, Monte Carlo with block-keyed
 streams, bound-verification campaigns, and figure-data regeneration.
 
-Trajectory experiments cut their replicates into blocks of BLOCK_SIZE
-and run block b in lockstep on the stream keyed (master_seed, b); the
-coupling campaign keys path r by (master_seed, r).  Either way the
-estimates are bit-identical for any worker count and any scheduling
-order.  Every exact reference, mpf or float64, comes from ``exact``.
+``run_trajectories`` cuts its replicates into blocks of BLOCK_SIZE and
+runs block b in lockstep on the stream keyed (master_seed, b);
+``first_passage_fraction`` and ``simulate_scaled_chain`` run all theirs
+on the stream (master_seed, 0), and the coupling campaign keys path r by
+(master_seed, r).  Either way the estimates are bit-identical for any
+worker count and any scheduling order.  Every exact reference, mpf or float64, comes from ``exact``.
 """
 
 import concurrent.futures
@@ -153,7 +154,8 @@ BLOCK_SIZE = 4096
 
 def _trajectory_block(args):
     params, i0, seed, block, size, max_steps = args
-    return run_block(params, i0, size, replicate_rng(seed, block), max_steps)
+    return run_block(params, i0, size, replicate_rng(seed, block), max_steps,
+                     params.n)
 
 
 def run_trajectories(params: ModelParams, i0: int, replicates: int,
@@ -199,32 +201,23 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
                            master_seed: int) -> EstimateWithCI:
     """Monte Carlo estimate of P(hit [j_level, n] before 0 | X_0 = i0).
 
-    Runs all replicates in vectorized lockstep and freezes each one as
-    soon as it is decided.  Unlike full-absorption simulation this stays
-    cheap in the supercritical regime, where surviving paths settle into
-    a quasi-equilibrium and would otherwise run for an astronomical
-    number of steps.  Raises if any replicate is still undecided at the
-    cap of 1000 steps (hovering strictly between 0 and the level).
+    One ``run_block`` on the stream keyed (master_seed, 0) with the stop
+    level j_level: each replicate stops at 0 or on first reaching
+    j_level, and has reached it iff its max is >= j_level.  Unlike
+    full-absorption simulation this stays cheap in the supercritical
+    regime, where surviving paths settle into a quasi-equilibrium and
+    would otherwise run for an astronomical number of steps.  Raises if
+    any replicate is still undecided at the cap of 1000 steps (hovering
+    strictly between 0 and the level).
     """
     max_steps = 1000
-    rng = replicate_rng(master_seed, 0)
-    n = params.n
-    logq = math.log1p(-params.p)
-    x = np.full(replicates, i0, dtype=np.int64)
-    reached = x >= j_level
-    for _ in range(max_steps):
-        active = (x > 0) & ~reached
-        if not active.any():
-            break
-        xa = binomial_step(n, logq, x[active], rng)
-        reached[np.flatnonzero(active)[xa >= j_level]] = True
-        x[active] = xa
-    else:
-        undecided = int(((x > 0) & ~reached).sum())
-        if undecided:
-            raise ArithmeticError(
-                f"{undecided} replicates undecided after {max_steps} steps")
-    return EstimateWithCI.from_samples(reached)
+    stats = run_block(params, i0, replicates, replicate_rng(master_seed, 0),
+                      max_steps, j_level)
+    undecided = int(stats[:, 3].sum())
+    if undecided:
+        raise ArithmeticError(
+            f"{undecided} replicates undecided after {max_steps} steps")
+    return EstimateWithCI.from_samples(stats[:, 2] >= j_level)
 
 
 def simulate_scaled_chain(params: ModelParams, x0_count: int, steps: int,

@@ -181,22 +181,30 @@ def binomial_step(n: int, logq: float, x: np.ndarray,
 
 
 def run_block(params: ModelParams, i0: int, size: int,
-              rng: np.random.Generator,
-              max_steps: int = DEFAULT_MAX_STEPS) -> np.ndarray:
+              rng: np.random.Generator, max_steps: int,
+              level: int) -> np.ndarray:
     """Run ``size`` replicates from i0 in lockstep; (T, S, max, truncated) rows.
 
+    A replicate stops at 0, on first reaching ``level`` or more (at T = 0
+    with no draw if i0 >= level), or after ``max_steps`` steps; S and max
+    run over x_0..x_T, as in ``simulate_count``, and truncated is 1 only
+    for a replicate strictly between 0 and ``level`` at the cap.  A chain
+    started in 1..n-1 never reaches n (X' <= n - X), so ``level = n``
+    runs each replicate to absorption or the cap.
+
     Every step draws the live replicates with one ``binomial_step`` and
-    drops those absorbed.  Once at most ``_SCALAR_TAIL`` are left, each
+    drops those stopped.  Once at most ``_SCALAR_TAIL`` are left, each
     survivor in turn, in row order, finishes with scalar draws from the
-    same generator.  A replicate alive after ``max_steps`` steps has
-    T = max_steps, truncated = 1, and S and max over x_0..x_max_steps,
-    as in ``simulate_count``.
+    same generator.
     """
     n = params.n
     if not 1 <= i0 <= n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
     logq = math.log1p(-params.p)
     out = np.zeros((size, 4), dtype=np.int64)
+    if i0 >= level:
+        out[:, 1:3] = i0
+        return out
     rows = np.arange(size)
     x = np.full(size, i0, dtype=np.int64)
     total = x.copy()
@@ -207,13 +215,13 @@ def run_block(params: ModelParams, i0: int, size: int,
         t += 1
         total += x
         np.maximum(peak, x, out=peak)
-        if not x.all():
-            dead = x == 0
-            gone = rows[dead]
+        live = (x != 0) & (x < level)
+        if not live.all():
+            done = ~live
+            gone = rows[done]
             out[gone, 0] = t
-            out[gone, 1] = total[dead]
-            out[gone, 2] = peak[dead]
-            live = ~dead
+            out[gone, 1] = total[done]
+            out[gone, 2] = peak[done]
             rows, x, total, peak = rows[live], x[live], total[live], peak[live]
     for r, xi, si, mi in zip(rows.tolist(), x.tolist(), total.tolist(),
                              peak.tolist()):
@@ -222,9 +230,11 @@ def run_block(params: ModelParams, i0: int, size: int,
             xi = int(rng.binomial(n - xi, -math.expm1(xi * logq)))
             ti += 1
             si += xi
-            if xi > mi:
+            if xi > mi:  # only a new maximum can enter [level, n]
                 mi = xi
-        out[r] = (ti, si, mi, xi != 0)
+                if xi >= level:
+                    break
+        out[r] = (ti, si, mi, 0 < xi < level)
     return out
 
 

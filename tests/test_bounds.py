@@ -230,6 +230,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             bc.check_scaling_schedule(1.0, {100: 3, 200: 10})
 
+    def test_schedule_guard_subcritical(self):
+        bc.check_scaling_schedule(0.5, {100: 3, 10000: 5})
+        with pytest.raises(ValueError):
+            bc.check_scaling_schedule(0.5, {100: 3, 200: 10})
+
     def test_scaling_check_judges_gap(self):
         lam, i0 = 1.5, 1
         limit = bc.duration_scaling_limit(lam, i0)
@@ -240,6 +245,21 @@ class TestScaling:
         bad = {100: limit + 0.01, 10000: limit + 0.2}
         rep = bc.duration_scaling_check(lam, i0, schedule, bad)
         assert rep.satisfied == bc.VIOLATED
+
+    @pytest.mark.parametrize("lam,survival_of", [
+        (0.5, lambda m, v: math.exp(m * v)),  # v = log(P(T > m)) / m
+        (1.0, lambda m, v: v / m)])           # v = m * P(T > m)
+    def test_scaling_check_judges_gap_below_and_at_one(self, lam,
+                                                       survival_of):
+        i0 = 1
+        limit = bc.duration_scaling_limit(lam, i0)
+        schedule = {100: 3, 10000: 5}
+        for gaps, verdict in (((0.03, 0.01), bc.HOLDS),
+                              ((0.01, 0.2), bc.VIOLATED)):
+            survival = {n: survival_of(m, limit + g)
+                        for (n, m), g in zip(schedule.items(), gaps)}
+            rep = bc.duration_scaling_check(lam, i0, schedule, survival)
+            assert rep.satisfied == verdict
 
 
 class TestMaxima:

@@ -33,6 +33,14 @@ class TestExtinctionProb:
         assert a > 1.0
         assert a == pytest.approx(math.exp(-(1.0 - a) * mu), rel=1e-10)
 
+    @pytest.mark.parametrize("mu", [1e-6, 0.003, 0.005, 0.01])
+    def test_dual_root_small_mean(self, mu):
+        # the dual root grows like log(1/mu)/mu, so its fixed-point
+        # residual must be judged relative to it
+        a = extinction_prob(mu)
+        assert a > 1.0
+        assert a == pytest.approx(math.exp(-(1.0 - a) * mu), rel=1e-10)
+
     def test_monotone_in_mu(self):
         values = [extinction_prob(mu) for mu in (1.1, 1.5, 2.0, 3.0, 5.0)]
         assert all(b < a for a, b in zip(values, values[1:]))

@@ -70,7 +70,8 @@ class TestTrajectories:
     def test_rows_keyed_by_block(self):
         params = ModelParams.from_intensity(50, 1.0)
         size = harness.BLOCK_SIZE
-        direct = run_block(params, 2, size, replicate_rng(77, 1), 10 ** 6)
+        direct = run_block(params, 2, size, replicate_rng(77, 1), 10 ** 6,
+                           params.n)
         for reps in (2 * size, 2 * size + 10):
             stats = harness.run_trajectories(params, 2, reps, 77)
             np.testing.assert_array_equal(stats[size: 2 * size], direct)
@@ -119,6 +120,17 @@ class TestTrajectories:
         params = ModelParams.from_intensity(100, 0.5)
         est = harness.first_passage_fraction(params, 5, 3, 1000, 7)
         assert est.point == 1.0
+
+    def test_first_passage_refuses_undecided_replicates(self):
+        params = ModelParams.from_intensity(100, 2.0)
+        with pytest.raises(ArithmeticError, match="962 replicates undecided "
+                                                  "after 1000 steps"):
+            harness.first_passage_fraction(params, 2, 99, 1000, 1)
+
+    def test_first_passage_refuses_absorbed_start(self):
+        params = ModelParams.from_intensity(100, 2.0)
+        with pytest.raises(ValueError):
+            harness.first_passage_fraction(params, 0, 5, 100, 0)
 
     def test_first_passage_matches_exact_reach(self):
         # supercritical case, where full-absorption simulation is not an
@@ -434,6 +446,17 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["duration"]["replicates"] == 20
+
+    def test_p_runs_as_its_intensity(self, tmp_path, capsys):
+        # 0.02 * 50 == 1.0, so --p, --c and a file's p build one chain
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\np = 0.02\n")
+        outputs = []
+        for model in (["--p", "0.02"], ["--c", "1.0"], ["--config", str(cfg)]):
+            assert main(["simulate", "--n", "50", *model, "--reps", "20",
+                         "--seed", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_rejects_p_and_c(self, capsys):
         with pytest.raises(SystemExit):

@@ -162,18 +162,43 @@ class TestSimulation:
         # turn, with the same draws simulate_count makes
         params = ModelParams.from_intensity(n, c)
         rows = run_block(params, i0, _SCALAR_TAIL, replicate_rng(3, 0),
-                         max_steps)
+                         max_steps, n)
         rng = replicate_rng(3, 0)
         for row in rows:
             t = simulate_count(params, i0, rng, max_steps)
             assert tuple(row) == (t.duration, t.size, t.max,
                                   int(t.truncated))
 
+    @pytest.mark.parametrize("n,c,i0,level,max_steps",
+                             [(60, 1.2, 2, 10, 2000), (100, 1.5, 3, 10, 5)])
+    def test_one_replicate_block_stops_at_the_level(self, n, c, i0, level,
+                                                    max_steps):
+        # reached, absorbed and (at the cap of 5) truncated rows alike: the
+        # row is simulate_count's path from the same generator state,
+        # cut at its first state in {0} or [level, n]
+        params = ModelParams.from_intensity(n, c)
+        for seed in range(200):
+            row = run_block(params, i0, 1, replicate_rng(seed, 0), max_steps,
+                            level)[0]
+            states = simulate_count(params, i0, replicate_rng(seed, 0),
+                                    max_steps).states
+            stops = np.flatnonzero((states == 0) | (states >= level))
+            cut = states[: stops[0] + 1] if len(stops) else states
+            assert tuple(row) == (len(cut) - 1, cut.sum(), cut.max(),
+                                  int(0 < cut[-1] < level))
+
+    def test_start_at_the_level_stops_without_a_draw(self):
+        params = ModelParams.from_intensity(100, 1.5)
+        rng = replicate_rng(0, 0)
+        rows = run_block(params, 5, 40, rng, 10 ** 6, 5)
+        assert (rows == [0, 5, 5, 0]).all()
+        assert rng.random() == replicate_rng(0, 0).random()
+
     def test_run_block_rejects_absorbed_or_full_start(self):
         params = ModelParams(10, 0.1)
         for i0 in (0, 10):
             with pytest.raises(ValueError):
-                run_block(params, i0, 5, replicate_rng(0, 0))
+                run_block(params, i0, 5, replicate_rng(0, 0), 10 ** 6, 10)
 
     def test_step_count_edges(self):
         params = ModelParams(10, 0.5)

@@ -1,5 +1,5 @@
-"""Source layout checks: one float solve kernel, and no module reaching
-into a sibling's private names."""
+"""Source layout checks: one float solve kernel, one lockstep engine, and
+no module reaching into a sibling's private names."""
 
 import ast
 from pathlib import Path
@@ -35,6 +35,16 @@ def test_one_float_solve_and_one_i_minus_q_both_in_exact():
                    for name, tree in trees.items() if name != "exact.py"
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_binomial_step_only_in_the_lockstep_samplers():
+    callers = sorted(f"{name}:{node.name}"
+                     for name, tree in _trees().items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and _calls(node, "binomial_step"))
+    assert callers == ["harness.py:simulate_scaled_chain",
+                       "model.py:run_block"]
 
 
 def test_no_private_name_from_a_sibling():
