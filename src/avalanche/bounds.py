@@ -11,7 +11,9 @@ explicit user-supplied slack and mark the report as partial.
 from dataclasses import dataclass
 import math
 
-from .branching import agresti_duration_bounds, extinction_prob
+import numpy as np
+
+from .branching import agresti_duration_bounds, extinction_prob, ruin_ratio
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -98,11 +100,6 @@ def survival_bounds(params, eh0: float, k: int) -> tuple[float, float]:
     return naive, refined
 
 
-def node_excitation_bound(params, eh0: float, k: int) -> float:
-    """c**k * E(H_0) / n**2, uniform over nodes."""
-    return mean_decay_bound(params, eh0, k) / params.n
-
-
 def size_bounds_single(params, ex0: float, ex0sq: float,
                        d: float) -> tuple[float, float]:
     """Sandwich for E(S) in the strictly subcritical single network.
@@ -179,28 +176,23 @@ def reach_bounds_single(params, d: float, eps: float,
                         i: int) -> tuple[float, float]:
     """Sandwich for the probability of ever reaching level n*eps from i.
 
-    lower = (1 - rho**i)/(1 - rho**n), upper = (1 - a**i)/(1 - a**(n*eps))
-    with a = alpha_c and rho = rho_epsilon(d, eps).
+    lower = ruin_ratio(rho, i, n), upper = ruin_ratio(a, i, n*eps) with
+    a = alpha_c and rho = rho_epsilon(d, eps).
     """
     n, c = params.n, params.c
     if i < 1 or i >= n * eps:
         raise ValueError(f"need 1 <= i < n*eps, got i={i}, n*eps={n * eps}")
-    rho = rho_epsilon(d, eps)
-    a = extinction_prob(c)
-    lower = (1.0 - rho ** i) / (1.0 - rho ** n)
-    upper = (1.0 - a ** i) / (1.0 - a ** (n * eps))
-    return lower, upper
+    return (ruin_ratio(rho_epsilon(d, eps), i, n),
+            ruin_ratio(extinction_prob(c), i, n * eps))
 
 
 def _best_level_subcritical(c: float, i0: int, m: int, n: int) -> int:
     """Level J minimizing the subcritical coupling-error term."""
-    a = extinction_prob(c)
-    best_j, best = i0 + 1, math.inf
-    for j in range(i0 + 1, n):
-        err = 1.5 * c * m * j * j / n + (a ** i0 - 1.0) / (a ** j - 1.0)
-        if err < best:
-            best_j, best = j, err
-    return best_j
+    j = np.arange(i0 + 1, n)
+    if not j.size:
+        raise ValueError(f"no level J with i0 < J < n for i0={i0}, n={n}")
+    err = 1.5 * c * m * j * j / n + ruin_ratio(extinction_prob(c), i0, j)
+    return int(j[np.argmin(err)])
 
 
 def duration_bounds_single(params, i0: int, m: int,
@@ -241,8 +233,7 @@ def duration_bounds_single(params, i0: int, m: int,
             c, i0, m, n)
         if not i0 < j < n:
             raise ValueError(f"need i0 < J < n, got J={j}")
-        a = extinction_prob(c)
-        err = 1.5 * c * m * j * j / n + (a ** i0 - 1.0) / (a ** j - 1.0)
+        err = 1.5 * c * m * j * j / n + ruin_ratio(extinction_prob(c), i0, j)
         return BoundReport("duration_single_subcritical",
                            {**inputs, "J": j}, lower, upper + err)
     err = 1.5 * (3.0 * m * i0 ** 2 / n) ** (1.0 / 3.0)
@@ -348,8 +339,7 @@ def maxima_bounds(params, i0: int, m: int,
                            upper=i0 / m * (1.0 + eps_slack), partial=True,
                            note=f"eps_m replaced by slack {eps_slack}")
     if c < 1.0:
-        a = extinction_prob(c)
-        order = 1.0 / (m * a ** m)
+        order = extinction_prob(c) ** -m / m
         if b_const is None:
             return BoundReport(
                 "maxima_subcritical", inputs, upper=None, partial=True,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 FIXED_POINT_TOL = 1e-12
@@ -54,58 +55,47 @@ class BranchingPath:
         return int(self.states.max())
 
 
-def _solve_u(mu: float) -> float:
-    """Solve u*exp(-u) = mu*exp(-mu) for the root u != mu.
-
-    f(u) = log(u) - u is strictly increasing on (0,1) and strictly
-    decreasing on (1,oo), so for mu > 1 the dual root lies in (0,1) and
-    for mu < 1 in (1,oo).  Bisection brackets it, Newton polishes.
-    """
-    target = math.log(mu) - mu
-    if mu > 1.0:
-        lo, hi = 1e-300, 1.0
-    else:
-        hi = 2.0
-        while math.log(hi) - hi > target:
-            hi *= 2.0
-        lo = 1.0
-    sign = 1.0 if mu > 1.0 else -1.0  # f increasing (mu>1) or decreasing
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if sign * (math.log(mid) - mid - target) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    for _ in range(4):  # Newton polish; derivative 1/u - 1 vanishes at u=1
-        deriv = 1.0 / u - 1.0
-        if abs(deriv) < 1e-8:
-            break
-        step = (math.log(u) - u - target) / deriv
-        if u - step <= 0.0:
-            break
-        u -= step
-    return u
-
-
 def extinction_prob(mu: float) -> float:
     """Root alpha != 1 of alpha = exp(-(1-alpha)*mu).
 
     Lies in (0,1) for mu > 1 (the extinction probability) and in
     (1,oo) for mu < 1 (its dual).  mu = 1 has no non-unit root.
+
+    One bracketed solve for v = log(alpha), the root v != 0 of
+    v = mu*expm1(v).  The slope 1 - mu*e**v of the difference changes
+    sign only at v = -log(mu), and the root lies beyond it, away from
+    v = 0: in [-mu, -log(mu)] for mu > 1 and in
+    [-log(mu), log(2*(mu - log(mu))/mu)] for mu < 1.  Full double
+    precision for mu <= 708; past that alpha leaves the normal floats.
     """
     if mu <= 0:
         raise ValueError(f"mean must be positive, got {mu}")
     if mu == 1.0:
         raise ValueError("mu = 1: the fixed point equation only has root 1")
-    alpha = _solve_u(mu) / mu
-    # relative check: for mu << 1 the dual root alpha is large
-    if (abs(alpha - math.exp(-(1.0 - alpha) * mu))
-            >= FIXED_POINT_TOL * max(1.0, alpha)):
+    turn = -math.log(mu)
+    lo, hi = ((-mu, turn) if mu > 1.0
+              else (turn, math.log(2.0 * (mu + turn) / mu)))
+    v = brentq(lambda v: v - mu * math.expm1(v), lo, hi,
+               xtol=1e-300, rtol=9e-16)
+    alpha = math.exp(v)
+    if abs(alpha - math.exp(-(1.0 - alpha) * mu)) >= FIXED_POINT_TOL * alpha:
         raise ArithmeticError(f"fixed point solve failed to converge at mu={mu}")
     return alpha
+
+
+def ruin_ratio(a: float, i, j):
+    """(1 - a**i)/(1 - a**j) for a > 0, a != 1; ``j`` may be an array.
+
+    The chance that the martingale a**Z_k, started at i, reaches level j
+    before 0.  Formed with expm1, and with a**j divided out when a > 1,
+    so it neither cancels near a = 1 nor overflows at large j.
+    """
+    log_a = math.log(a)
+    j = np.asarray(j, dtype=float)
+    if a < 1.0:
+        return np.expm1(i * log_a) / np.expm1(j * log_a)
+    return (np.exp((i - j) * log_a) * np.expm1(-i * log_a)
+            / np.expm1(-j * log_a))
 
 
 def borel_tanner_pmf(lam: float, i0: int, j) -> np.ndarray | float:
@@ -237,7 +227,7 @@ def agresti_duration_bounds(c: float, i0: int, m: int) -> tuple[float, float]:
 def lindvall_max_bound(lam: float, i0: int, m: int) -> float:
     """Upper bound on P(max generation >= m) for lam <= 1.
 
-    Critical: i0/m.  Subcritical: (alpha**i0 - 1)/(alpha**m - 1) with
+    Critical: i0/m.  Subcritical: ruin_ratio(alpha, i0, m) with
     alpha = alpha_lam > 1.  No such bound is available for lam > 1.
     """
     if lam > 1.0:
@@ -246,5 +236,4 @@ def lindvall_max_bound(lam: float, i0: int, m: int) -> float:
         raise ValueError(f"need m > i0 >= 1, got m={m}, i0={i0}")
     if lam == 1.0:
         return i0 / m
-    alpha = extinction_prob(lam)
-    return (alpha ** i0 - 1.0) / (alpha ** m - 1.0)
+    return ruin_ratio(extinction_prob(lam), i0, m)

@@ -208,8 +208,11 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
     regime, where surviving paths settle into a quasi-equilibrium and
     would otherwise run for an astronomical number of steps.  Raises if
     any replicate is still undecided at the cap of 1000 steps (hovering
-    strictly between 0 and the level).
+    strictly between 0 and the level).  A level outside [1, n] is
+    refused before any draw.
     """
+    if not 1 <= j_level <= params.n:
+        raise ValueError(f"level must lie in [1, {params.n}], got {j_level}")
     max_steps = 1000
     stats = run_block(params, i0, replicates, replicate_rng(master_seed, 0),
                       max_steps, j_level)

@@ -32,8 +32,9 @@ def dg(alpha: float, x: float):
 def fixed_point_zeta(alpha: float) -> float:
     """Unique positive fixed point of g_alpha, defined for alpha > 1.
 
-    Lies in (0, 1/2); the map has no positive fixed point at or below
-    the critical intensity.
+    Lies in (0, 1/2], reaching 1/2 only by rounding (from alpha of
+    about 71.7 on); the map has no positive fixed point at or below the
+    critical intensity.
     """
     if alpha <= 1.0:
         raise ValueError(f"no positive fixed point for alpha={alpha} <= 1")
@@ -41,8 +42,8 @@ def fixed_point_zeta(alpha: float) -> float:
                xtol=1e-300, rtol=9e-16)
     if abs(g(alpha, z) - z) >= FIXED_POINT_TOL:
         raise ArithmeticError(f"fixed point residual too large at alpha={alpha}")
-    if not 0.0 < z < 0.5:
-        raise ArithmeticError(f"fixed point {z} outside (0, 1/2)")
+    if not 0.0 < z <= 0.5:
+        raise ArithmeticError(f"fixed point {z} outside (0, 1/2]")
     return z
 
 
@@ -227,11 +228,12 @@ class StabilityInterval:
 def stability_interval(lam: float) -> StabilityInterval:
     """Construct (a, b, eps, rho, gamma) for lam > 1.
 
-    b starts at the midpoint of max{nu, zeta} and 1 and moves toward
-    max{nu, zeta} until g(b) clears the point where g' = 1; a is then
-    placed between that point and min{nu, zeta, g(b)}, which keeps
-    |g'| < 1 on (a, 1) while preserving the sandwich
-    a < min{nu, zeta, g(b)} <= max{nu, zeta} < b.
+    b is the midpoint of max{nu, zeta} and 1, where g(b) must clear the
+    point where g' = 1; a is then placed between that point and
+    min{nu, zeta, g(b)}, which keeps |g'| < 1 on (a, 1) while
+    preserving the sandwich a < min{nu, zeta, g(b)} <= max{nu, zeta} < b.
+    1 - rho is formed directly as min{1 - g'(a), exp(-lam)}: rho itself
+    rounds to 1 from lam of about 37 on.
     """
     if lam <= 1.0:
         raise ValueError(f"requires lam > 1, got {lam}")
@@ -240,24 +242,19 @@ def stability_interval(lam: float) -> StabilityInterval:
     # the slope exceeds 1 left of x_star (g'(0) = lam > 1, g' decreasing)
     x_star = brentq(lambda x: dg(lam, x) - 1.0, 1e-300, nu, xtol=1e-300,
                     rtol=9e-16)
-    hi = max(nu, zeta)
-    b = 0.5 * (hi + 1.0)
-    for _ in range(200):
-        if min(nu, zeta, g(lam, b)) > x_star:
-            break
-        b = 0.5 * (hi + b)
-    else:
+    b = 0.5 * (max(nu, zeta) + 1.0)
+    if not min(nu, zeta, g(lam, b)) > x_star:
         raise ArithmeticError(f"failed to place b for lam={lam}")
     a = 0.5 * (x_star + min(nu, zeta, float(g(lam, b))))
     h = min(float(g(lam, a)), float(g(lam, b)))
     eps = min(b - zeta, h - a, (b - a) / 2.0)
     if eps <= 0.0:
         raise ArithmeticError(f"degenerate margin for lam={lam}")
-    rho = max(float(dg(lam, a)), abs(float(dg(lam, 1.0))))
-    if not 0.0 < rho < 1.0:
-        raise ArithmeticError(f"contraction rate {rho} outside (0,1)")
-    gamma = (1.0 - b) / (2.0 * (1.0 - rho) ** 2)
-    return StabilityInterval(lam, a, b, eps, rho, gamma)
+    gap = min(1.0 - float(dg(lam, a)), math.exp(-lam))  # 1 - rho
+    if not 0.0 < gap < 1.0:
+        raise ArithmeticError(f"contraction rate {1.0 - gap} outside (0,1)")
+    gamma = (1.0 - b) / (2.0 * gap ** 2)
+    return StabilityInterval(lam, a, b, eps, 1.0 - gap, gamma)
 
 
 def decay_rho(lam: float, psi0: float, delta: float) -> float:

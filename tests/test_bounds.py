@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from avalanche import bounds as bc
 from avalanche.branching import extinction_prob, gw_extinct_by
-from avalanche.exact import build_q_float, expected_size_float
+from avalanche.exact import build_q_float, expected_size_float, q_powers
 from avalanche.harness import kernel_power_mean, reach_probability_float
 from avalanche.model import ModelParams
 
@@ -63,11 +64,6 @@ class TestDecayAndSurvival:
         naive, refined = bc.survival_bounds(params, eh0, 3)
         assert 0.0 < naive <= 1.0
         assert refined == bc.mean_decay_bound(params, eh0, 3)
-
-    def test_node_excitation_is_mean_over_n(self):
-        params = ModelParams.from_intensity(50, 0.8)
-        assert bc.node_excitation_bound(params, 49, 2) == pytest.approx(
-            bc.mean_decay_bound(params, 49, 2) / 50)
 
     def test_rejects_k_zero(self):
         params = ModelParams.from_intensity(50, 0.8)
@@ -202,6 +198,38 @@ class TestDurationBounds:
                 rep = bc.duration_bounds_single(params, 1, m)
                 assert rep.lower - 1e-9 <= cdf <= rep.upper + 1e-9
 
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_subcritical_envelope_at_large_n(self, n):
+        # the coupling-error search runs J up to n, past where
+        # alpha_0.5**J overflows a float
+        params = ModelParams.from_intensity(n, 0.5)
+        surv = q_powers(build_q_float(params), np.ones(n - 1), 5)
+        for i0 in (1, 2):
+            for m in (1, 3, 5):
+                rep = bc.duration_bounds_single(params, i0, m)
+                cdf = 1.0 - surv[m][i0 - 1]  # P(T <= m | X_0 = i0)
+                assert rep.lower - 1e-9 <= cdf <= rep.upper + 1e-9
+
+    def test_subcritical_level_is_the_loop_minimizer(self):
+        # reference: the error term over every J in a Python loop, with a
+        # ratio whose denominator overflows counted as 0
+        for c in (0.3, 0.5, 0.8):
+            a = extinction_prob(c)
+            for n in (50, 200, 500):
+                params = ModelParams.from_intensity(n, c)
+                for i0 in (1, 2):
+                    for m in (1, 3, 5):
+                        errs = []
+                        for j in range(i0 + 1, n):
+                            try:
+                                ratio = (a ** i0 - 1.0) / (a ** j - 1.0)
+                            except OverflowError:
+                                ratio = 0.0
+                            errs.append(1.5 * c * m * j * j / n + ratio)
+                        rep = bc.duration_bounds_single(params, i0, m)
+                        assert rep.inputs["J"] == i0 + 1 + int(
+                            np.argmin(errs))
+
     def test_ensemble_limits_are_branching_bounds(self):
         from avalanche.branching import agresti_duration_bounds
         assert bc.duration_limits_ensemble(0.8, 2, 4) \
@@ -275,6 +303,16 @@ class TestMaxima:
         assert rep.partial and rep.upper is None
         with_b = bc.maxima_bounds(params, 1, 10, b_const=2.0)
         assert with_b.upper is not None
+
+    @pytest.mark.parametrize("m", [1500, 1900])
+    def test_subcritical_order_factor_at_large_m(self, m):
+        # alpha_0.8**1900 overflows a float; B/(m*alpha**m) does not
+        params = ModelParams.from_intensity(2000, 0.8)
+        rep = bc.maxima_bounds(params, 1, m, b_const=2.0)
+        a = mp.mpf(extinction_prob(0.8))
+        ref = 2.0 * 1.1 / (m * a ** m)
+        assert rep.upper == pytest.approx(float(ref), rel=1e-12,
+                                           abs=0.0)
 
     def test_rejects_supercritical(self):
         params = ModelParams.from_intensity(100, 1.5)

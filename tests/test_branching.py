@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from avalanche.branching import (BranchingParams, agresti_duration_bounds,
                                  borel_tanner_pmf, borel_tanner_total_mass,
                                  duration_tail_r, duration_tail_s,
                                  extinction_prob, gw_extinct_by, gw_simulate,
-                                 lindvall_max_bound)
+                                 lindvall_max_bound, ruin_ratio)
 from avalanche.rng import replicate_rng
 
 
@@ -41,6 +42,17 @@ class TestExtinctionProb:
         assert a > 1.0
         assert a == pytest.approx(math.exp(-(1.0 - a) * mu), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "mu", [1e-6, 0.5, 0.9999, 1.0001, 2.0, 150.0, 300.0, 700.0])
+    def test_matches_lambert_w_reference(self, mu):
+        # alpha = -W(-mu*exp(-mu))/mu on the branch not holding mu itself:
+        # W_0 for mu > 1, W_-1 for mu < 1; 60 digits
+        with mp.workdps(60):
+            m = mp.mpf(mu)
+            ref = -mp.lambertw(-m * mp.exp(-m), 0 if mu > 1 else -1).real / m
+        assert extinction_prob(mu) == pytest.approx(float(ref),
+                                                   rel=1e-13, abs=0.0)
+
     def test_monotone_in_mu(self):
         values = [extinction_prob(mu) for mu in (1.1, 1.5, 2.0, 3.0, 5.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -50,6 +62,29 @@ class TestExtinctionProb:
             extinction_prob(1.0)
         with pytest.raises(ValueError):
             extinction_prob(0.0)
+
+
+class TestRuinRatio:
+    @pytest.mark.parametrize("a", [0.2, 1.02, 3.5])
+    def test_matches_direct_formula(self, a):
+        for i in (1, 2, 5):
+            for j in (i + 1, 10, 40, 200, 500):
+                if j * abs(math.log(a)) > 700:  # a**j overflows or underflows
+                    continue
+                direct = (1.0 - a ** i) / (1.0 - a ** j)
+                assert ruin_ratio(a, i, j) == pytest.approx(
+                    direct, rel=1e-13, abs=0.0)
+
+    def test_array_levels_match_scalar_calls(self):
+        j = np.arange(3, 900)
+        for a in (0.2, 3.5):
+            np.testing.assert_allclose(
+                ruin_ratio(a, 2, j), [ruin_ratio(a, 2, int(k)) for k in j],
+                rtol=1e-15, atol=0.0)
+
+    def test_no_overflow_at_high_levels(self):
+        r = ruin_ratio(3.5, 1, 2000)
+        assert math.isfinite(r) and 0.0 <= r < 1e-300
 
 
 class TestBorelTanner:
@@ -200,6 +235,11 @@ class TestLindvallMaxBound:
         a = extinction_prob(0.5)
         assert lindvall_max_bound(0.5, 1, 4) == pytest.approx(
             (a - 1.0) / (a ** 4 - 1.0))
+
+    def test_finite_at_high_levels(self):
+        # alpha_0.5**800 overflows a float; the ratio is about 3.5**-799
+        v = lindvall_max_bound(0.5, 1, 800)
+        assert math.isfinite(v) and 0.0 <= v < 1e-300
 
     def test_dominates_monte_carlo_reach(self):
         lam, i0, m = 0.8, 1, 6

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -118,14 +119,27 @@ class TestTrajectories:
 
     def test_first_passage_counts_a_start_at_the_level(self):
         params = ModelParams.from_intensity(100, 0.5)
-        est = harness.first_passage_fraction(params, 5, 3, 1000, 7)
-        assert est.point == 1.0
+        for i0 in (3, 5):  # at and above the level
+            est = harness.first_passage_fraction(params, i0, 3, 1000, 7)
+            assert est.point == 1.0
 
     def test_first_passage_refuses_undecided_replicates(self):
         params = ModelParams.from_intensity(100, 2.0)
         with pytest.raises(ArithmeticError, match="962 replicates undecided "
                                                   "after 1000 steps"):
             harness.first_passage_fraction(params, 2, 99, 1000, 1)
+
+    @pytest.mark.parametrize("level", [0, -5, 101])
+    def test_first_passage_refuses_level_outside_range(self, level,
+                                                       monkeypatch):
+        params = ModelParams.from_intensity(100, 2.0)
+
+        def no_draw(*args):
+            raise AssertionError("the level must be refused before any draw")
+
+        monkeypatch.setattr(harness, "run_block", no_draw)
+        with pytest.raises(ValueError, match="level must lie in"):
+            harness.first_passage_fraction(params, 2, level, 1000, 1)
 
     def test_first_passage_refuses_absorbed_start(self):
         params = ModelParams.from_intensity(100, 2.0)
@@ -410,6 +424,13 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "stability" in payload
+
+    @pytest.mark.parametrize("lam", ["40", "100"])
+    def test_deterministic_at_large_intensity(self, lam, capsys):
+        code = main(["deterministic", "--lambda", lam])
+        assert code == 0
+        gamma = json.loads(capsys.readouterr().out)["stability"]["gamma"]
+        assert math.isfinite(gamma) and gamma > 0.0
 
     def test_couple_json(self, capsys):
         code = main(["couple", "--n", "40", "--c", "0.8", "--i0", "1",

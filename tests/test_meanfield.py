@@ -146,6 +146,34 @@ class TestStabilityInterval:
         grid = np.linspace(si.a, 1.0, 2001)
         assert np.all(np.abs(mf.dg(lam, grid)) < si.rho + 1e-12)
 
+    @pytest.mark.parametrize("lam, expected", [
+        (1.01, (0.004947442129412621, 0.7211684951172472,
+                1.2350311210528216e-05, 0.995009240352202,
+                5597.299387927943)),
+        (1.5, (0.147870663674126, 0.7091176531944685,
+               0.021642777085415343, 0.8249946039332945, 4.748806679422935)),
+        (2.0, (0.18862917733219003, 0.6980149921076693,
+               0.03859101536771359, 0.8646647167633873, 8.24391138433286)),
+        (3.0, (0.21953972714614167, 0.7081430187534987,
+               0.037440001255067634, 0.950212931632136, 58.87175490835389)),
+    ])
+    def test_values_kept(self, lam, expected):
+        # (a, b, eps, rho, gamma) as computed with rho formed first and
+        # 1 - rho taken from it, where that still works
+        si = mf.stability_interval(lam)
+        assert (si.a, si.b, si.eps, si.rho, si.gamma) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [40.0, 100.0])
+    def test_large_intensity(self, lam):
+        # rho = 1 - exp(-lam) rounds to 1 and zeta to 1/2 here; gamma
+        # comes from 1 - rho = exp(-lam) itself
+        si = mf.stability_interval(lam)
+        assert si.gamma == pytest.approx(
+            (1.0 - si.b) / (2.0 * math.exp(-2.0 * lam)), rel=1e-12, abs=0.0)
+        assert math.isfinite(si.gamma)
+        assert 0.0 < si.a < mf.fixed_point_zeta(lam) <= 0.5 < si.b < 1.0
+
     def test_rejects_subcritical(self):
         with pytest.raises(ValueError):
             mf.stability_interval(0.9)
