@@ -14,6 +14,7 @@ import sys
 
 from . import harness
 from .exact import MAX_EXACT_N
+from .meanfield import stability_interval
 from .model import ModelParams
 
 
@@ -56,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                               allow_abbrev=False)
         sub.add_argument("--config",
                          help="INI config file ([experiment] section)")
-        p_or_c = sub.add_mutually_exclusive_group()
+        # an empty group breaks --help, so only where p or c is read
+        p_or_c = (sub.add_mutually_exclusive_group()
+                  if "c" in settings else sub)
         for field in settings:
             flag, kind, flag_help = harness.SETTINGS[field]
             if flag:
@@ -90,6 +93,8 @@ def main(argv=None) -> int:
         if "digits" in settings and config.n > MAX_EXACT_N:
             raise ValueError(f"exact solves are capped at n={MAX_EXACT_N}, "
                              f"got {config.n}")
+        if "lam" in settings and config.lam > 1.0:
+            stability_interval(config.lam)   # refuses a too-large lam
         # a chain starts transient, a mean-field path anywhere in [0, n]
         low = 0 if args.command == "deterministic" else 1
         if "i0" in settings and not low <= config.i0 <= config.n - low:

@@ -6,14 +6,19 @@ substochastic matrix Q(i,j), i,j in 1..n-1.  Expected duration solves
 probabilities are iterated products Q^m e, and reach probabilities
 restrict the system to the states below the target level.
 
-The mpf tier runs in arbitrary precision (default 400 decimal digits)
-on one cached LU of I-Q per chain, without pivoting, each solve with a
-residual check.  Its float64 twins, for large n where cubic cost at high
-precision is prohibitive, share one checked solve and refuse what the
-mpf twins refuse; the Q-taking forms let one float Q serve many.
+The mpf tier runs in arbitrary precision (default 400 decimal digits),
+each solve with a residual check.  The expectations are refined from
+float64 corrections on an exact fixed-point residual; where that does
+not converge they, and every reach level, run on one cached LU of I-Q
+per chain, without pivoting.  The float64 twins, for large n where
+cubic cost at high precision is prohibitive, share one checked solve
+and refuse what the mpf twins refuse; the Q-taking forms let one float
+Q serve many.
 """
 
 from dataclasses import dataclass
+import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -47,14 +52,16 @@ class SubstochasticSystem:
     Rows are built lazily (and cached) because some solves, notably
     reach probabilities, touch only the states below a threshold.
 
-    Every solve runs on one cached factorization per digit count: the
-    LU of I-Q over states 1..K plus a tail column, minus each row's mass
-    above K.  Row i's diagonal exceeds its off-diagonal magnitudes by
-    Q(i,0) plus that mass, > 0 for p < 1; this strict row dominance
-    holds in every Schur complement, so no pivoting is needed (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 9.5), and
-    leading blocks share their factors: the K = n-1 factors serve both
-    expectations, and one block every reach level up to K+1.
+    The expectations refine on Q in fixed point (`fixed_point_q`).  The
+    reach solves, and the expectations where refinement fails, run on
+    one cached factorization per digit count: the LU of I-Q over states
+    1..K plus a tail column, minus each row's mass above K.  Row i's
+    diagonal exceeds its off-diagonal magnitudes by Q(i,0) plus that
+    mass, > 0 for p < 1; this strict row dominance holds in every Schur
+    complement, so no pivoting is needed (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 9.5), and leading blocks share
+    their factors: the K = n-1 factors serve both expectations, and one
+    block every reach level up to K+1.
     """
 
     def __init__(self, params: ModelParams,
@@ -66,6 +73,7 @@ class SubstochasticSystem:
         self.precision = precision or PrecisionConfig()
         self._rows: dict[tuple[int, int], list] = {}
         self._factors: dict[int, list[list]] = {}
+        self._fixed: dict[int, tuple[int, list[list[int]], np.ndarray]] = {}
 
     @property
     def n(self) -> int:
@@ -74,9 +82,9 @@ class SubstochasticSystem:
     def row(self, i: int, digits: int | None = None) -> list:
         """Full kernel pmf row at state i as mpf values over j = 0..n-i.
 
-        The binomial terms are generated by the ratio recurrence
-        directly in mpf arithmetic; mpf exponents never underflow, so
-        no log-space detour is needed.
+        Term j is the running power fail**m * ratio**j times the exact
+        integer C(m, j), one full-precision product per term; mpf
+        exponents never underflow, so no log-space detour is needed.
         """
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"transient state i={i} outside [1, {self.n - 1}]")
@@ -85,16 +93,16 @@ class SubstochasticSystem:
         if key in self._rows:
             return self._rows[key]
         with mp.workdps(digits + _GUARD_DIGITS):
-            q = 1 - mp.mpf(self.params.p)
-            fail = q ** i          # per-node miss probability q**i
-            s = 1 - fail
+            fail = (1 - mp.mpf(self.params.p)) ** i  # per-node miss q**i
             m = self.n - i
-            term = fail ** m
-            out = [term]
-            ratio = s / fail
+            ratio = (1 - fail) / fail
+            power = fail ** m      # fail**(m-j) * (1-fail)**j, running
+            out = [power]
+            binom = 1              # C(m, j), exact
             for j in range(1, m + 1):
-                term = term * ratio * (m - j + 1) / j
-                out.append(term)
+                power *= ratio
+                binom = binom * (m - j + 1) // j
+                out.append(power * binom)
         self._rows[key] = out
         return out
 
@@ -102,12 +110,15 @@ class SubstochasticSystem:
         """LU of [I-Q | tail] over states 1..K, some K >= k: row r holds
         L(r, :r), U(r, r:K) and the reduced tail.  A smaller cached block
         is refactored at least twice as large, so growing level by level
-        stays O(n^3)."""
+        stays O(n^3); a block at a new digit count is at least as large
+        as any cached one, so a retry serves the levels its first try
+        served."""
         digits = digits or self.precision.decimal_digits
         lu = self._factors.get(digits, [])
         if len(lu) >= k:
             return lu
-        k = max(k, min(2 * len(lu), self.n - 1))
+        k = max(k, min(2 * len(lu), self.n - 1),
+                *(len(f) for f in self._factors.values()))
         lu = []
         with mp.workdps(digits + _GUARD_DIGITS):
             for r in range(k):
@@ -125,6 +136,27 @@ class SubstochasticSystem:
         self._factors[digits] = lu
         return lu
 
+    def fixed_point_q(self, digits: int | None = None
+                      ) -> tuple[int, list[list[int]], np.ndarray]:
+        """(P, rows, q): P the working bits plus 16, row i-1 the integers
+        Q(i, j) * 2**P truncated, j = 1..n-i, and q the float64 Q over
+        states 1..n-1, both from the mpf rows and cached per digit count.
+        """
+        digits = digits or self.precision.decimal_digits
+        if digits not in self._fixed:
+            with mp.workdps(digits + _GUARD_DIGITS):
+                scale = mp.mp.prec + 16
+            rows = [self.row(i, digits)[1:] for i in range(1, self.n)]
+            fixed = [[man << (e + scale) if e + scale >= 0
+                      else man >> -(e + scale)
+                      for man, e in (v.man_exp for v in row)]
+                     for row in rows]
+            q = np.zeros((self.n - 1, self.n - 1))
+            for i, row in enumerate(rows):
+                q[i, :len(row)] = [float(v) for v in row]
+            self._fixed[digits] = scale, fixed, q
+        return self._fixed[digits]
+
 
 def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
                   b: list) -> mp.mpf:
@@ -135,37 +167,99 @@ def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
                 for i, (xi, bi) in enumerate(zip(x, b), start=1)), default=0)
 
 
-def _checked_solve(system: SubstochasticSystem, k: int, reduce,
-                   b: list) -> list:
-    """Solve U x = reduce(factors of states 1..k) on states 1..len(b);
-    accept x when its residual against b is below 10**(-d/2), else
-    refactor the same block once at twice the digits."""
+def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
+    """Accept x = solve(digits) on states 1..len(b) when its residual
+    against b is below 10**(-d/2), else solve once more at twice the
+    digits."""
     digits = system.precision.decimal_digits
     for _ in range(2):
         with mp.workdps(digits + _GUARD_DIGITS):
-            lu = system.factors(k, digits)
-            x = reduce(lu)
-            for i in range(len(x) - 1, -1, -1):
-                x[i] = ((x[i] - mp.fdot(lu[i][i + 1:len(x)], x[i + 1:]))
-                        / lu[i][i])
+            x = solve(digits)
             if (_residual_inf(system, digits, x, b)
                     < system.precision.tol(digits)):
                 return x
-        k, digits = len(lu), 2 * digits
+        digits *= 2
     raise ArithmeticError(
         f"residual above tolerance even after raising precision to "
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 
 
-def _expectation(system: SubstochasticSystem, b: list, what: str) -> list:
-    """(I-Q)^-1 b over states 1..n-1 by forward and back substitution;
-    at least b, as the chain starts in i."""
+def _substitute(system: SubstochasticSystem, k: int, reduce,
+                digits: int) -> list:
+    """Solve U x = reduce(factors of states 1..k) by back substitution."""
+    lu = system.factors(k, digits)
+    x = reduce(lu)
+    for i in range(len(x) - 1, -1, -1):
+        x[i] = (x[i] - mp.fdot(lu[i][i + 1:len(x)], x[i + 1:])) / lu[i][i]
+    return x
+
+
+# a refinement pass must cut the residual by this many bits; two
+# passes running that do not hand the solve to the elimination
+_SHRINK_BITS = 8
+
+
+def _refine(system: SubstochasticSystem, b: list[int],
+            digits: int) -> list | None:
+    """(I-Q)^-1 b over states 1..n-1 by iterative refinement, or None
+    where it does not converge: the float kernel refuses a correction,
+    or the residual fails twice running to shrink by 2**_SHRINK_BITS.
+
+    x is kept in integers at scale 2**P and the residual b - (I-Q)x
+    exactly at scale 2**2P, on the fixed-point Q (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12; Carson and Higham, SIAM
+    J. Sci. Comput. 40(2), 2018).  Each pass solves for the correction
+    in float64, rounds it to 53-bit integers m times one power of two,
+    adds it to x and takes it off the residual by P-bit by 53-bit
+    products.  It stops once a correction is below 2**-(P-16), the
+    working precision: x >= b >= 1, so that is relative too.
+    """
+    scale, fixed, q = system.fixed_point_q(digits)
+    where = f"refinement at n={system.n}, p={system.params.p}"
+    x = [0] * len(b)
+    r = [v << 2 * scale for v in b]
+    size, stalls = max(r), 0
+    while True:
+        shift = max(size.bit_length() - 53, 0)
+        try:
+            y = _checked_float_solve(q, len(b), np.array(
+                [float(v >> shift) for v in r]), where)
+        except ArithmeticError:
+            return None
+        # the correction is y * 2**(shift - P) in units of x's last bit
+        t = 53 - math.frexp(float(np.abs(y).max()))[1]
+        m = np.rint(np.ldexp(y, t)).astype(np.int64).tolist()
+        s = shift - scale - t
+        if s < 0:   # below x's last bit: round to it
+            m, s = [(v + (1 << (-s - 1))) >> -s for v in m], 0
+        x = [xi + (v << s) for xi, v in zip(x, m)]
+        if max(map(abs, m)) << s < 1 << 16:
+            break
+        r = [ri + ((sum(map(operator.mul, row, m)) - (v << scale)) << s)
+             for ri, row, v in zip(r, fixed, m)]
+        last, size = size, max(map(abs, r))
+        stalls = stalls + 1 if size << _SHRINK_BITS > last else 0
+        if stalls == 2:
+            return None
+    return [mp.mpf((v, -scale)) for v in x]
+
+
+def _expectation(system: SubstochasticSystem, b: list[int],
+                 what: str) -> list:
+    """(I-Q)^-1 b over states 1..n-1, refined or else by forward and back
+    substitution; at least b, as the chain starts in i."""
     def forward(lu):
         y = []
         for row, bi in zip(lu, b):
             y.append(bi - mp.fdot(row, y))
         return y
-    x = _checked_solve(system, system.n - 1, forward, b)
+
+    def solve(digits):
+        x = _refine(system, b, digits)
+        return x if x is not None else _substitute(
+            system, system.n - 1, forward, digits)
+
+    x = _checked_solve(system, solve, b)
     if any(v < bi for v, bi in zip(x, b)):
         raise ArithmeticError(f"{what} below its floor; solve is broken")
     return x
@@ -173,14 +267,12 @@ def _expectation(system: SubstochasticSystem, b: list, what: str) -> list:
 
 def expected_duration(system: SubstochasticSystem) -> list:
     """E(T | X_0 = i) for i = 1..n-1 as mpf values, from (I-Q)x = e."""
-    return _expectation(system, [mp.mpf(1)] * (system.n - 1),
-                        "expected duration")
+    return _expectation(system, [1] * (system.n - 1), "expected duration")
 
 
 def expected_size(system: SubstochasticSystem) -> list:
     """E(S | X_0 = i) for i = 1..n-1, from (I-Q)s = (1, ..., n-1)'."""
-    return _expectation(system, [mp.mpf(i) for i in range(1, system.n)],
-                        "expected size")
+    return _expectation(system, list(range(1, system.n)), "expected size")
 
 
 def duration_survival(system: SubstochasticSystem, m: int) -> list:
@@ -213,8 +305,9 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
     """
     m = _states_below(system.n, j_level)
-    h = _checked_solve(system, m, lambda lu: [-mp.fsum(lu[i][m:])
-                                              for i in range(m)], [0] * m)
+    h = _checked_solve(system, lambda digits: _substitute(
+        system, m, lambda lu: [-mp.fsum(lu[i][m:]) for i in range(m)],
+        digits), [0] * m)
     if any(v < 0 or v > 1 for v in h):
         raise ArithmeticError("reach probability escaped [0, 1]")
     return h
@@ -272,8 +365,8 @@ def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
     x = np.linalg.solve(a, rhs)
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
-    residual = float(np.max(np.abs(a @ x - rhs), initial=0.0))
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(rhs), initial=0.0))):
+    residual = float(np.abs(a @ x - rhs).max(initial=0.0))
+    if residual > 1e-8 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
         raise ArithmeticError(f"{where} has residual {residual:.3g}; "
                               "use the mpf solver")
     return x

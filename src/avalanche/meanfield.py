@@ -10,6 +10,7 @@ behind the concentration envelopes for the scaled chain.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,6 +18,9 @@ from scipy.optimize import brentq
 FIXED_POINT_TOL = 1e-12
 _ITER_TOL = 1e-14
 _ITER_CAP = 10 ** 5
+# once zeta rounds to 1/2 (lam of about 71.7 on) b = 3/4 and 1 - rho =
+# exp(-lam), so gamma = exp(2*lam)/8: it fits in float64 up to here
+MAX_STABILITY_LAM = 0.5 * (math.log(sys.float_info.max) + math.log(8.0))
 
 
 def g(alpha: float, x: float):
@@ -233,10 +237,14 @@ def stability_interval(lam: float) -> StabilityInterval:
     min{nu, zeta, g(b)}, which keeps |g'| < 1 on (a, 1) while
     preserving the sandwich a < min{nu, zeta, g(b)} <= max{nu, zeta} < b.
     1 - rho is formed directly as min{1 - g'(a), exp(-lam)}: rho itself
-    rounds to 1 from lam of about 37 on.
+    rounds to 1 from lam of about 37 on, and gamma overflows float64
+    above MAX_STABILITY_LAM.
     """
     if lam <= 1.0:
         raise ValueError(f"requires lam > 1, got {lam}")
+    if lam > MAX_STABILITY_LAM:
+        raise ValueError(f"requires lam <= {MAX_STABILITY_LAM:.6f}, the "
+                         f"largest whose gamma fits in float64, got {lam}")
     zeta = fixed_point_zeta(lam)
     nu, chi = argmax_nu(lam)
     # the slope exceeds 1 left of x_star (g'(0) = lam > 1, g' decreasing)
@@ -253,7 +261,7 @@ def stability_interval(lam: float) -> StabilityInterval:
     gap = min(1.0 - float(dg(lam, a)), math.exp(-lam))  # 1 - rho
     if not 0.0 < gap < 1.0:
         raise ArithmeticError(f"contraction rate {1.0 - gap} outside (0,1)")
-    gamma = (1.0 - b) / (2.0 * gap ** 2)
+    gamma = (1.0 - b) / 2.0 / gap / gap   # gap**2 would underflow first
     return StabilityInterval(lam, a, b, eps, 1.0 - gap, gamma)
 
 

@@ -204,7 +204,8 @@ class TestReachAndMax:
 
 
 class TestFactorization:
-    """One cached LU of I-Q per digit count serves every solve."""
+    """One cached LU of I-Q per digit count serves every reach level; one
+    cached fixed-point Q both expectations."""
 
     @pytest.mark.parametrize("c", [0.9, 1.3])
     def test_all_levels_match_per_level_solves(self, c):
@@ -241,12 +242,17 @@ class TestFactorization:
                 < mp.mpf(10) ** (-digits // 2)
 
     def test_size_reuses_duration_factors(self):
+        # E(S) refines on the fixed-point and float Q built for E(T):
+        # it builds no rows, no Q and no factorization
         system = small_system(n=30, c=1.1)
         expected_duration(system)
-        lu = system._factors[60]
+        fixed, rows = system._fixed[60], dict(system._rows)
         expected_size(system)
-        assert list(system._factors) == [60]
-        assert system._factors[60] is lu
+        assert list(system._fixed) == [60]
+        assert system._fixed[60] is fixed
+        assert system._rows.keys() == rows.keys()
+        assert all(system._rows[key] is row for key, row in rows.items())
+        assert not system._factors
 
     def test_reach_factors_only_the_block_below_the_level(self):
         system = small_system(n=400, c=1.0)
@@ -270,29 +276,37 @@ def _max_12(system):
 
 
 class TestPrecisionRetry:
-    """A solve whose residual gate fails refactors once at twice the
-    digits and returns that answer; a second failure raises."""
+    """A solve whose residual gate fails is solved once more at twice the
+    digits, refined or factored as at the first try, and returns that
+    answer; a second failure raises."""
 
     @pytest.fixture
     def gate(self, monkeypatch):
         """Fail the residual gate at the digit counts put in `failing`;
-        record each factorization built as (digits, factors)."""
+        record each factorization and fixed-point Q built as (digits, it).
+        """
         failing, built = set(), []
-        residual, factors = exact._residual_inf, SubstochasticSystem.factors
+        residual = exact._residual_inf
+        factors = SubstochasticSystem.factors
+        fixed_point_q = SubstochasticSystem.fixed_point_q
 
         def fake_residual(system, digits, x, b):
             if digits in failing:
                 return mp.mpf(1)
             return residual(system, digits, x, b)
 
-        def counted_factors(system, k, digits=None):
-            lu = factors(system, k, digits)
-            if all(lu is not seen for _, seen in built):
-                built.append((digits or system.precision.decimal_digits, lu))
-            return lu
+        def record(system, digits, out):
+            if all(out is not seen for _, seen in built):
+                built.append((digits or system.precision.decimal_digits, out))
+            return out
 
         monkeypatch.setattr(exact, "_residual_inf", fake_residual)
-        monkeypatch.setattr(SubstochasticSystem, "factors", counted_factors)
+        monkeypatch.setattr(
+            SubstochasticSystem, "factors", lambda system, k, digits=None:
+            record(system, digits, factors(system, k, digits)))
+        monkeypatch.setattr(
+            SubstochasticSystem, "fixed_point_q", lambda system, digits=None:
+            record(system, digits, fixed_point_q(system, digits)))
         return failing, built
 
     @pytest.mark.parametrize("solve", [expected_duration, _reach_12,
@@ -305,6 +319,11 @@ class TestPrecisionRetry:
         system = small_system(n=20, c=1.1, digits=60)
         got = solve(system)
         assert [d for d, _ in built] == [60, 120]
+        # the expectations refine both times and never factor
+        refined = solve is expected_duration
+        assert list(system._fixed if refined else system._factors) \
+            == [60, 120]
+        assert not (system._factors if refined else system._fixed)
         assert got == want
         assert max(d for _, d in system._rows) == 120
 
@@ -315,6 +334,65 @@ class TestPrecisionRetry:
         failing.update({60, 120})
         with pytest.raises(ArithmeticError, match="raising precision to 120"):
             solve(small_system(n=20, c=1.1, digits=60))
+
+
+class TestRefinement:
+    """The expectations refine from float64 corrections to the
+    elimination's answer, and hand over to the elimination where the
+    float kernel refuses or the residual stalls."""
+
+    @staticmethod
+    def eliminated(monkeypatch, system, solve):
+        with monkeypatch.context() as m:
+            m.setattr(exact, "_refine", lambda *args: None)
+            return solve(system)
+
+    @pytest.mark.parametrize("n, c, digits", [
+        (3, 0.3, 60), (5, 2.5, 60), (8, 1.0, 60), (13, 0.7, 60),
+        (17, 1.7, 60), (21, 2.0, 60), (30, 0.3, 60), (30, 2.5, 60),
+        (12, 1.0, 400), (30, 1.3, 400)])
+    def test_matches_elimination(self, n, c, digits, monkeypatch):
+        system = small_system(n, c, digits)
+        got = [expected_duration(system), expected_size(system)]
+        assert not system._factors
+        want = [self.eliminated(monkeypatch, small_system(n, c, digits),
+                                solve)
+                for solve in (expected_duration, expected_size)]
+        with mp.workdps(digits + 10):
+            worst = max(abs(a - b) / b for g, w in zip(got, want)
+                        for a, b in zip(g, w))
+        assert worst < mp.mpf(10) ** (10 - digits)
+
+    def test_falls_back_where_float_kernel_refuses(self, monkeypatch):
+        # I-Q is too ill-conditioned at c = 3 for the float64 correction
+        refine, results = exact._refine, []
+
+        def recorded(*args):
+            results.append(refine(*args))
+            return results[-1]
+
+        monkeypatch.setattr(exact, "_refine", recorded)
+        system = small_system(n=100, c=3.0, digits=60)
+        got = expected_duration(system)
+        assert results == [None]
+        assert [len(lu) for lu in system._factors.values()] == [99]
+        assert got == self.eliminated(monkeypatch, system, expected_duration)
+
+    def test_falls_back_when_residual_stalls(self, monkeypatch):
+        # half of each correction cuts the residual by 2, not 2**8
+        solve, calls = exact._checked_float_solve, []
+
+        def half(*args):
+            calls.append(1)
+            return 0.5 * solve(*args)
+
+        monkeypatch.setattr(exact, "_checked_float_solve", half)
+        system = small_system(n=12, c=1.0, digits=60)
+        got = expected_duration(system)
+        assert len(calls) == 2   # two passes running that stalled
+        assert 60 in system._factors
+        assert got == self.eliminated(monkeypatch, small_system(12, 1.0, 60),
+                                      expected_duration)
 
 
 class TestFloatShortcuts:

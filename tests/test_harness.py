@@ -432,6 +432,24 @@ class TestCli:
         gamma = json.loads(capsys.readouterr().out)["stability"]["gamma"]
         assert math.isfinite(gamma) and gamma > 0.0
 
+    @pytest.mark.parametrize("lam", ["400", "1000"])
+    def test_deterministic_refuses_lambda_whose_gamma_overflows(self, lam,
+                                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["deterministic", "--lambda", lam])
+        assert exc.value.code == 2
+        assert "deterministic: requires lam <= 355.931077" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_exits_zero(self, command, capsys):
+        # an empty p/c group used to end verify, figure and deterministic
+        # --help in "ValueError: empty group"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: avalanche {command}" in capsys.readouterr().out
+
     def test_couple_json(self, capsys):
         code = main(["couple", "--n", "40", "--c", "0.8", "--i0", "1",
                      "--reps", "100", "--seed", "2"])

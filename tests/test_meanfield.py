@@ -178,6 +178,19 @@ class TestStabilityInterval:
         with pytest.raises(ValueError):
             mf.stability_interval(0.9)
 
+    @pytest.mark.parametrize("lam", [400.0, 1000.0])
+    def test_refuses_lambda_whose_gamma_overflows(self, lam):
+        # gamma overflowed from lam of about 356, divided by zero from
+        # about 373 and found rho = 1 at 1000
+        with pytest.raises(ValueError, match="requires lam <= 355.931077"):
+            mf.stability_interval(lam)
+
+    def test_largest_admitted_lambda_has_finite_gamma(self):
+        # the bound the refusal names, and the constant it rounds
+        for lam in (355.931077, mf.MAX_STABILITY_LAM):
+            gamma = mf.stability_interval(lam).gamma
+            assert 1.79e308 < gamma < math.inf
+
 
 class TestDecayParameters:
     def test_subcritical_rho(self):
