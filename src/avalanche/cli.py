@@ -10,6 +10,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
 import sys
 
 from . import harness
@@ -90,9 +91,23 @@ def main(argv=None) -> int:
         if "c_list" in settings:
             for c in config.c_list:
                 ModelParams.from_intensity(config.n, c)
+            # the flattening check compares the spread over i0 = 2..i0_max
+            # of the lowest and the highest intensity
+            if len(set(config.c_list)) < 2:
+                raise ValueError(f"c_list {config.c_list} needs two distinct "
+                                 "intensities")
+            if min(config.i0_max, config.n - 1) < 3:
+                raise ValueError(f"i0_max={config.i0_max}, capped at "
+                                 f"n-1={config.n - 1}, is below 3")
         if "digits" in settings and config.n > MAX_EXACT_N:
             raise ValueError(f"exact solves are capped at n={MAX_EXACT_N}, "
                              f"got {config.n}")
+        if config.out:   # written only once the work is done
+            folder = os.path.dirname(config.out) or "."
+            if os.path.isdir(config.out):
+                raise ValueError(f"--out {config.out} is a directory")
+            if not os.path.isdir(folder):
+                raise ValueError(f"--out {config.out}: no directory {folder}")
         if "lam" in settings and config.lam > 1.0:
             stability_interval(config.lam)   # refuses a too-large lam
         # a chain starts transient, a mean-field path anywhere in [0, n]

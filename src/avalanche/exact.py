@@ -23,7 +23,7 @@ import operator
 import mpmath as mp
 import numpy as np
 
-from .model import ModelParams, kernel_row
+from .model import ModelParams, kernel_rows
 
 MAX_EXACT_N = 2000
 MIN_DIGITS = 50
@@ -52,10 +52,12 @@ class SubstochasticSystem:
     Rows are built lazily (and cached) because some solves, notably
     reach probabilities, touch only the states below a threshold.
 
-    The expectations refine on Q in fixed point (`fixed_point_q`).  The
-    reach solves, and the expectations where refinement fails, run on
-    one cached factorization per digit count: the LU of I-Q over states
-    1..K plus a tail column, minus each row's mass above K.  Row i's
+    The expectations refine on the mpf rows in fixed point, with each
+    correction solved on the float64 Q of `build_q_float`, the one float
+    kernel formula (`fixed_point_q` holds both).  The reach solves, and
+    the expectations where refinement fails, run on one cached
+    factorization per digit count: the LU of I-Q over states 1..K plus
+    a tail column, minus each row's mass above K.  Row i's
     diagonal exceeds its off-diagonal magnitudes by Q(i,0) plus that
     mass, > 0 for p < 1; this strict row dominance holds in every Schur
     complement, so no pivoting is needed (Higham, Accuracy and Stability
@@ -139,8 +141,8 @@ class SubstochasticSystem:
     def fixed_point_q(self, digits: int | None = None
                       ) -> tuple[int, list[list[int]], np.ndarray]:
         """(P, rows, q): P the working bits plus 16, row i-1 the integers
-        Q(i, j) * 2**P truncated, j = 1..n-i, and q the float64 Q over
-        states 1..n-1, both from the mpf rows and cached per digit count.
+        Q(i, j) * 2**P truncated from the mpf row, j = 1..n-i, and q the
+        float64 Q of ``build_q_float``; cached per digit count.
         """
         digits = digits or self.precision.decimal_digits
         if digits not in self._fixed:
@@ -151,10 +153,7 @@ class SubstochasticSystem:
                       else man >> -(e + scale)
                       for man, e in (v.man_exp for v in row)]
                      for row in rows]
-            q = np.zeros((self.n - 1, self.n - 1))
-            for i, row in enumerate(rows):
-                q[i, :len(row)] = [float(v) for v in row]
-            self._fixed[digits] = scale, fixed, q
+            self._fixed[digits] = scale, fixed, build_q_float(self.params)
         return self._fixed[digits]
 
 
@@ -346,11 +345,8 @@ def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
     """Transient kernel Q as a float64 matrix over states 1..n-1, or its
     first ``rows`` rows (states 1..rows)."""
     n = params.n
-    rows = n - 1 if rows is None else rows
-    q = np.empty((rows, n - 1))
-    for i in range(1, rows + 1):
-        q[i - 1] = kernel_row(params, i)[1:n]
-    return q
+    q = kernel_rows(params, range(1, n if rows is None else rows + 1))
+    return np.ascontiguousarray(q[:, 1:n])
 
 
 def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,

@@ -84,24 +84,30 @@ def excite_probability(params: ModelParams, i: int) -> float:
     return -math.expm1(i * math.log1p(-params.p))
 
 
+def kernel_rows(params: ModelParams, states) -> np.ndarray:
+    """Pmf rows P(X_{k+1} = . | X_k = i) over j = 0..n, one per state i:
+    the binomial log-pmf on one (state, j) grid, cut to 0 below -745."""
+    n = params.n
+    states = np.asarray(states, dtype=np.int64)
+    s = np.array([excite_probability(params, i) for i in states.tolist()])
+    j = np.arange(n + 1)
+    k = (n - states)[:, None] - j       # n - i - j, negative off the support
+    lg = gammaln(np.arange(1, n + 2))   # lg[t] = log(t!)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = lg[n - states][:, None] - lg   # the log-pmf, summed in place
+        rows -= lg.take(k, mode="clip")
+        rows += j * np.log(s)[:, None]
+        rows += k * (states * math.log1p(-params.p))[:, None]  # log(q**i)
+        cut = (rows < -745.0) | (k < 0)
+        np.exp(rows, out=rows)
+    rows[cut] = 0.0
+    rows[states == 0] = j == 0          # absorbing; its log(s) is -inf
+    return rows
+
+
 def kernel_row(params: ModelParams, i: int) -> np.ndarray:
     """Full pmf row P(X_{k+1} = . | X_k = i) over j = 0..n (length n+1)."""
-    n = params.n
-    if not 0 <= i <= n:
-        raise ValueError(f"state i={i} outside [0, {n}]")
-    row = np.zeros(n + 1)
-    if i == 0:
-        row[0] = 1.0
-        return row
-    m = n - i
-    s = excite_probability(params, i)
-    j = np.arange(m + 1)
-    logq_i = i * math.log1p(-params.p)  # log(q**i) = log(1 - s)
-    with np.errstate(divide="ignore"):
-        logp = (gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-                + j * np.log(s) + (m - j) * logq_i)
-    row[: m + 1] = np.where(logp < -745.0, 0.0, np.exp(logp))
-    return row
+    return kernel_rows(params, [i])[0]
 
 
 def kernel_pmf_exact(params: ModelParams, i: int, j: int) -> Fraction:

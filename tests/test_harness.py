@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,46 @@ class TestCli:
             except AssertionError:  # a failed figure shape check
                 pass
             assert reads.names == set(COMMANDS[name][1]), name
+
+    @pytest.mark.parametrize("lines, reason", [
+        ("i0_max = 1", "i0_max=1, capped at n-1=99, is below 3"),
+        ("i0_max = 2", "i0_max=2, capped at n-1=99, is below 3"),
+        ("c_list = 1.2", "c_list (1.2,) needs two distinct intensities"),
+        ("c_list = 1.2,1.2",
+         "c_list (1.2, 1.2) needs two distinct intensities")])
+    def test_figure_refuses_inputs_its_check_cannot_judge(
+            self, lines, reason, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[experiment]\n{lines}\n")
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--n", "100", "--digits", "50",
+                  "--config", str(cfg)])
+        assert time.perf_counter() - start < 1.0   # before any solve
+        assert exc.value.code == 2
+        assert f"figure: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "50", "--c", "0.5"],
+        ["exact", "--n", "40", "--c", "1.0", "--digits", "50"],
+        ["figure", "--n", "30", "--digits", "50"],
+        ["verify"],
+        ["deterministic", "--n", "50", "--i0", "5"]],
+        ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing_dir", "dir"])
+    def test_refuses_out_it_cannot_write(self, argv, missing, tmp_path,
+                                         capsys):
+        out = tmp_path / "gone" / "x.csv" if missing else tmp_path
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0   # before any work
+        assert exc.value.code == 2
+        reason = (f": no directory {out.parent}" if missing
+                  else " is a directory")
+        assert f"{argv[0]}: --out {out}{reason}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_figure_shape_failure_exits_1(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

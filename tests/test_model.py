@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import binom
 
+from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
+                             build_q_float)
 from avalanche.model import (ModelParams, Trajectory, conditional_moments,
                              excite_probability, kernel_pmf_exact,
-                             kernel_row, run_block,
+                             kernel_row, kernel_rows, run_block,
                              simulate_count, simulate_set, step_count)
 from avalanche.model import _SCALAR_TAIL
 from avalanche.rng import replicate_rng
@@ -109,6 +112,54 @@ class TestKernel:
         row = kernel_row(params, 750)
         assert np.isfinite(row).all()
         assert row.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _row_reference(params, i):
+    """One kernel row by itself: the per-row formula the grid replaced."""
+    n = params.n
+    row = np.zeros(n + 1)
+    if i == 0:
+        row[0] = 1.0
+        return row
+    m = n - i
+    s = excite_probability(params, i)
+    j = np.arange(m + 1)
+    logq_i = i * math.log1p(-params.p)
+    with np.errstate(divide="ignore"):
+        logp = (gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
+                + j * np.log(s) + (m - j) * logq_i)
+    row[: m + 1] = np.where(logp < -745.0, 0.0, np.exp(logp))
+    return row
+
+
+class TestKernelGrid:
+    """Every float kernel row, Q and refinement Q alike, is bit for bit
+    the per-row formula."""
+
+    GRID = [(n, c) for n in (3, 10, 30, 100, 257, 1000)
+            for c in (0.3, 1.0, 2.5, 10.0) if c < n]
+
+    @pytest.mark.parametrize("n,c", GRID)
+    def test_rows_and_q_equal_the_row_formula(self, n, c):
+        params = ModelParams.from_intensity(n, c)
+        ref = np.array([_row_reference(params, i) for i in range(n + 1)])
+        assert np.array_equal(kernel_rows(params, range(n + 1)), ref)
+        assert all(np.array_equal(kernel_row(params, i), ref[i])
+                   for i in range(n + 1))
+        assert np.array_equal(build_q_float(params), ref[1:n, 1:n])
+        assert np.array_equal(build_q_float(params, n // 2),
+                              ref[1:n // 2 + 1, 1:n])
+
+    @pytest.mark.parametrize("states", [[-1], [0, 11], [3, 12]])
+    def test_refuses_state_outside_range(self, states):
+        with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
+            kernel_rows(ModelParams(10, 0.1), states)
+
+    def test_refinement_q_is_build_q_float(self):
+        params = ModelParams.from_intensity(40, 1.1)
+        system = SubstochasticSystem(params, PrecisionConfig(60))
+        _, _, q = system.fixed_point_q()
+        assert np.array_equal(q, build_q_float(params))
 
 
 class TestConditionalMoments:

@@ -1,5 +1,6 @@
-"""Source layout checks: one float solve kernel, one lockstep engine, and
-no module reaching into a sibling's private names."""
+"""Source layout checks: one float kernel formula, one float solve kernel,
+one lockstep engine, and no module reaching into a sibling's private
+names."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,29 @@ def test_one_float_solve_and_one_i_minus_q_both_in_exact():
                    for name, tree in trees.items() if name != "exact.py"
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_float_kernel_formula():
+    trees = _trees()
+    assert [node.name for node in _functions(trees["model.py"])
+            if _calls(node, "gammaln")] == ["kernel_rows"]
+    exact = trees["exact.py"]
+    assert not _calls(exact, "kernel_row")
+    build = next(node for node in _functions(exact)
+                 if node.name == "build_q_float")
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(build))
+    # the mpf rows come from SubstochasticSystem.row; no function that
+    # reads them converts to float
+    assert not [node.name for node in _functions(exact)
+                if _calls(node, "float")
+                and (_calls(node, "self", "row")
+                     or _calls(node, "system", "row"))]
 
 
 def test_binomial_step_only_in_the_lockstep_samplers():
