@@ -13,7 +13,9 @@ not converge they, and every reach level, run on one cached LU of I-Q
 per chain, without pivoting.  The float64 twins, for large n where
 cubic cost at high precision is prohibitive, share one checked solve
 and refuse what the mpf twins refuse; the Q-taking forms let one float
-Q serve many.
+Q serve many.  That solve hands LAPACK I-Q with its entries below
+_TINY (1.5e-154) flushed to 0, as subnormal fill made it 2.5-3x slower
+at n >= 400; its residual gate reads the unflushed I-Q.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from .model import ModelParams, kernel_rows
 MAX_EXACT_N = 2000
 MIN_DIGITS = 50
 _GUARD_DIGITS = 10
+_TINY = np.sqrt(np.finfo(float).tiny)   # products of kept entries are normal
 
 
 @dataclass(frozen=True)
@@ -352,13 +355,15 @@ def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
 def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
                          where: str) -> np.ndarray:
     """Solve (I-Q) x = rhs over states 1..k in float64; raise unless x is
-    finite and the residual is below 1e-8 * max(1, |rhs|_inf).
-
-    Near and above the transition I - Q can be too ill-conditioned for
-    float64: the solve then returns garbage, negative values included.
-    Callers check their own invariants on top."""
+    finite and the residual on the unflushed I - Q is below 1e-8 * max(1,
+    |rhs|_inf).  LAPACK gets I - Q with its entries below _TINY flushed to
+    0, as their subnormal fill in the LU made it 2.5-3x slower at n >= 400;
+    that moves no row of this row-dominant M-matrix by a resolvable amount
+    (Higham, section 9.5).  Near and above the transition I - Q can be too
+    ill-conditioned for float64: the solve then returns garbage, negative
+    values included.  Callers check their own invariants on top."""
     a = np.eye(k) - q[:k, :k]   # k = 0 (a reach of level 1) is empty
-    x = np.linalg.solve(a, rhs)
+    x = np.linalg.solve(np.where(np.abs(a) < _TINY, 0.0, a), rhs)
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
     residual = float(np.abs(a @ x - rhs).max(initial=0.0))

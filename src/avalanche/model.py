@@ -93,14 +93,14 @@ def kernel_rows(params: ModelParams, states) -> np.ndarray:
     j = np.arange(n + 1)
     k = (n - states)[:, None] - j       # n - i - j, negative off the support
     lg = gammaln(np.arange(1, n + 2))   # lg[t] = log(t!)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         rows = lg[n - states][:, None] - lg   # the log-pmf, summed in place
         rows -= lg.take(k, mode="clip")
         rows += j * np.log(s)[:, None]
         rows += k * (states * math.log1p(-params.p))[:, None]  # log(q**i)
         cut = (rows < -745.0) | (k < 0)
-        np.exp(rows, out=rows)
-    rows[cut] = 0.0
+        np.exp(rows, out=rows, where=~cut)   # only the kept entries
+    np.copyto(rows, 0.0, where=cut)
     rows[states == 0] = j == 0          # absorbing; its log(s) is -inf
     return rows
 

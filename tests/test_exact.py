@@ -459,3 +459,46 @@ class TestFloatTwinRefusals:
     def test_kernel_power_mean_refuses_negative_steps(self):
         with pytest.raises(ValueError, match="got i0=3, k=-1"):
             kernel_power_mean(self.params, 3, -1)
+
+
+class TestSubnormalFreeSolve:
+    """LAPACK never sees an entry whose products could be subnormal, and
+    the flush changes no answer."""
+
+    GRID = [(n, c) for n in (200, 400, 800) for c in (0.5, 0.9)]
+
+    def test_lapack_gets_no_entry_below_tiny(self, monkeypatch):
+        params = ModelParams.from_intensity(800, 0.5)
+        q = build_q_float(params)
+        assert ((q > 0) & (q < exact._TINY)).any()   # there is a tail to flush
+        seen, solve = [], np.linalg.solve
+
+        def spy(a, b):
+            seen.append(a.copy())
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        expected_duration_float(params)
+        (a,) = seen
+        assert not ((a != 0) & (np.abs(a) < exact._TINY)).any()
+
+    @pytest.mark.parametrize("n,c", GRID)
+    def test_float_twins_equal_the_unflushed_solve(self, n, c):
+        params = ModelParams.from_intensity(n, c)
+        q = build_q_float(params)
+        i_minus_q = np.eye(n - 1) - q
+        for solve, rhs in ((expected_duration_float, np.ones(n - 1)),
+                           (expected_size_float, np.arange(1.0, n))):
+            assert np.array_equal(solve(params),
+                                  np.linalg.solve(i_minus_q, rhs))
+        lev = n // 2 - 1   # the states below level n // 2
+        h = np.linalg.solve(np.eye(lev) - q[:lev, :lev],
+                            q[:lev, lev:].sum(axis=1))
+        assert np.array_equal(reach_probability_float(params, n // 2),
+                              np.clip(h, 0.0, 1.0))
+
+    @pytest.mark.parametrize("n,c", [(200, 2.0), (400, 3.0)])
+    def test_supercritical_solves_still_raise(self, n, c):
+        params = ModelParams.from_intensity(n, c)
+        for solve in (expected_duration_float, expected_size_float):
+            with pytest.raises(ArithmeticError):
+                solve(params)

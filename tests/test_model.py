@@ -150,6 +150,17 @@ class TestKernelGrid:
         assert np.array_equal(build_q_float(params, n // 2),
                               ref[1:n // 2 + 1, 1:n])
 
+    @pytest.mark.parametrize("n,c", [(800, 0.5), (2000, 1.3)])
+    def test_rows_with_the_most_cut_entries_equal_the_row_formula(self, n,
+                                                                   c):
+        # about half of these grids lies below the cut or off the support
+        # and is never exponentiated
+        params = ModelParams.from_intensity(n, c)
+        rows = kernel_rows(params, range(n + 1))
+        assert (rows == 0).mean() > 0.5
+        assert np.array_equal(
+            rows, np.array([_row_reference(params, i) for i in range(n + 1)]))
+
     @pytest.mark.parametrize("states", [[-1], [0, 11], [3, 12]])
     def test_refuses_state_outside_range(self, states):
         with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
