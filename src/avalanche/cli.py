@@ -108,8 +108,13 @@ def main(argv=None) -> int:
                 raise ValueError(f"--out {config.out} is a directory")
             if not os.path.isdir(folder):
                 raise ValueError(f"--out {config.out}: no directory {folder}")
-        if "lam" in settings and config.lam > 1.0:
-            stability_interval(config.lam)   # refuses a too-large lam
+        if "lam" in settings:   # psi0 = i0/n, and g_lam needs lam > 0
+            if config.n < 1:
+                raise ValueError(f"need n >= 1, got n={config.n}")
+            if not config.lam > 0.0:
+                raise ValueError(f"need lambda > 0, got lambda={config.lam}")
+            if config.lam > 1.0:
+                stability_interval(config.lam)   # refuses a too-large lam
         # a chain starts transient, a mean-field path anywhere in [0, n]
         low = 0 if args.command == "deterministic" else 1
         if "i0" in settings and not low <= config.i0 <= config.n - low:

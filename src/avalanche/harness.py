@@ -461,9 +461,9 @@ def cmd_deterministic(config: ExperimentConfig) -> dict:
     lam = config.lam
     psi0 = config.i0 / config.n
     path = mf.iterate_mean_field(lam, psi0)
-    model = mf.FluctuationModel.from_initial(lam, psi0, len(path.psi) - 1)
-    rows = [[k, path.psi[k], path.phi[k], path.branching_factor[k],
-             model.variances[k]] for k in range(len(path.psi))]
+    cols = [a.tolist() for a in (path.psi, path.phi, path.branching_factor,
+                                 mf.innovation_variance(lam, path.psi))]
+    rows = list(map(list, zip(range(len(path.psi)), *cols)))
     out = {"limit": mf.mean_field_limit(lam, psi0), "rows": rows}
     if lam > 1.0:
         si = mf.stability_interval(lam)

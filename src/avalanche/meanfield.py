@@ -104,6 +104,8 @@ def iterate_mean_field(alpha: float, psi0: float,
     less than 1e-14 (or a 1e5-step cap).  The branching factor is
     g(psi_k)/psi_k, set to 0 once the path hits 0 exactly.
     """
+    if alpha <= 0.0:
+        raise ValueError(f"intensity must be positive, got {alpha}")
     if not 0.0 <= psi0 <= 1.0:
         raise ValueError(f"need psi0 in [0,1], got {psi0}")
     psi, phi = [psi0], [psi0]

@@ -17,6 +17,7 @@ import pytest
 import avalanche
 from avalanche import bounds as bc
 from avalanche import harness
+from avalanche import meanfield as mf
 from avalanche.cli import COMMANDS, build_parser, config_from_args, main
 from avalanche.exact import (build_q_float, expected_duration_float,
                              expected_size_float, q_powers)
@@ -285,7 +286,6 @@ class TestDeterministicAndCouple:
     def test_cmd_deterministic_supercritical(self):
         config = harness.ExperimentConfig(n=100, i0=10, lam=2.0)
         out = harness.cmd_deterministic(config)
-        from avalanche import meanfield as mf
         assert out["limit"] == pytest.approx(mf.fixed_point_zeta(2.0))
         assert "stability" in out
         assert out["rows"][0][1] == pytest.approx(0.1)
@@ -302,6 +302,38 @@ class TestDeterministicAndCouple:
         out = harness.cmd_deterministic(config)
         assert out["limit"] == 0.0
         assert all(row[1] == 0.0 and row[2] == 0.0 for row in out["rows"])
+
+    @staticmethod
+    def _reference_rows(lam, psi0):
+        # reference: the variances from a second iteration of the path
+        # (the fluctuation model), every entry read one index at a time
+        path = mf.iterate_mean_field(lam, psi0)
+        model = mf.FluctuationModel.from_initial(lam, psi0,
+                                                 len(path.psi) - 1)
+        return [[k, path.psi[k], path.phi[k], path.branching_factor[k],
+                 model.variances[k]] for k in range(len(path.psi))]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.8, 40.0])
+    @pytest.mark.parametrize("n, i0", [(100, 1), (100, 10), (100, 0)])
+    def test_cmd_deterministic_rows_match_reference(self, lam, n, i0):
+        config = harness.ExperimentConfig(n=n, i0=i0, lam=lam)
+        rows = harness.cmd_deterministic(config)["rows"]
+        ref = self._reference_rows(lam, i0 / n)
+        assert len(rows) == len(ref)
+        assert all(len(row) == 5 and type(row[0]) is int for row in rows)
+        assert all(a == b for row, want in zip(rows, ref)
+                   for a, b in zip(row, want))
+
+    def test_cmd_deterministic_csv_matches_reference(self, tmp_path):
+        # lam = 1 never meets the stopping test: 1e5 + 1 rows
+        out, ref = tmp_path / "table.csv", tmp_path / "ref.csv"
+        assert main(["deterministic", "--n", "100", "--i0", "1",
+                     "--lambda", "1", "--out", str(out)]) == 0
+        harness.write_csv(str(ref), ["k", "psi", "phi", "branching_factor",
+                                     "innovation_variance"],
+                          self._reference_rows(1.0, 0.01))
+        assert out.read_bytes() == ref.read_bytes()
+        assert len(out.read_text().splitlines()) == 2 + 10 ** 5
 
     def test_cmd_couple_reports(self):
         config = harness.ExperimentConfig(n=60, c=0.9, i0=2,
@@ -441,6 +473,34 @@ class TestCli:
         assert exc.value.code == 2
         assert "deterministic: requires lam <= 355.931077" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, reason", [
+        ({"n": 0, "i0": 0, "lam": 1.5}, "need n >= 1, got n=0"),
+        ({"n": -4, "i0": -2, "lam": 1.5}, "need n >= 1, got n=-4"),
+        ({"n": 100, "i0": 1, "lam": -1}, "need lambda > 0, got lambda=-1.0"),
+        ({"n": 100, "i0": 1, "lam": 0}, "need lambda > 0, got lambda=0.0")],
+        ids=["n_zero", "n_negative", "lambda_negative", "lambda_zero"])
+    @pytest.mark.parametrize("in_file", [False, True], ids=["flag", "file"])
+    def test_deterministic_refuses_bad_inputs(self, given, reason, in_file,
+                                              tmp_path, capsys):
+        # psi0 = i0/n needs n >= 1; at lam = -1 the path would alternate
+        # in sign and the innovation variances would be negative
+        out = tmp_path / "table.csv"
+        if in_file:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text("[experiment]\n" + "".join(
+                f"{key} = {text}\n" for key, text in given.items()))
+            argv = ["--config", str(cfg)]
+        else:
+            argv = [f"{harness.SETTINGS[key][0]}={text}"
+                    for key, text in given.items()]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["deterministic", *argv, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0   # before any work
+        assert exc.value.code == 2
+        assert f"deterministic: {reason}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_exits_zero(self, command, capsys):

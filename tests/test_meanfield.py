@@ -78,6 +78,12 @@ class TestIteration:
         assert np.all(path.psi == 0.0)
         assert np.all(path.branching_factor == 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_refuses_non_positive_intensity(self, alpha):
+        # at alpha = -1 the path would alternate in sign from psi_1 on
+        with pytest.raises(ValueError, match="intensity must be positive"):
+            mf.iterate_mean_field(alpha, 0.1)
+
     def test_branching_factor_near_alpha_at_zero(self):
         path = mf.iterate_mean_field(0.5, 1e-8, steps=3)
         assert path.branching_factor[0] == pytest.approx(0.5, abs=1e-6)

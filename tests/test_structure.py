@@ -1,6 +1,6 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
-one lockstep engine, and no module reaching into a sibling's private
-names."""
+one lockstep engine, one mean-field iteration per deterministic table,
+and no module reaching into a sibling's private names."""
 
 import ast
 from pathlib import Path
@@ -69,6 +69,15 @@ def test_binomial_step_only_in_the_lockstep_samplers():
                      and _calls(node, "binomial_step"))
     assert callers == ["harness.py:simulate_scaled_chain",
                        "model.py:run_block"]
+
+
+def test_deterministic_table_iterates_the_map_once():
+    command = next(node for node in _functions(_trees()["harness.py"])
+                   if node.name == "cmd_deterministic")
+    source = ast.unparse(command)
+    assert _calls(command, "mf", "iterate_mean_field") == 1
+    assert source.count("iterate_mean_field") == 1   # nor handed to a helper
+    assert "FluctuationModel" not in source
 
 
 def test_no_private_name_from_a_sibling():
