@@ -6,19 +6,22 @@ substochastic matrix Q(i,j), i,j in 1..n-1.  Expected duration solves
 probabilities are iterated products Q^m e, and reach probabilities
 restrict the system to the states below the target level.
 
-The mpf tier runs in arbitrary precision (default 400 decimal digits),
-each solve with a residual check.  The expectations are refined from
-float64 corrections on an exact fixed-point residual; where that does
-not converge they, and every reach level, run on one cached LU of I-Q
-per chain, without pivoting.  The float64 twins, for large n where
-cubic cost at high precision is prohibitive, share one checked solve
-and refuse what the mpf twins refuse; the Q-taking forms let one float
-Q serve many.  That solve hands LAPACK I-Q with its entries below
-_TINY (1.5e-154) flushed to 0, as subnormal fill made it 2.5-3x slower
-at n >= 400; its residual gate reads the unflushed I-Q.
+The mpf tier runs in arbitrary precision (default 400 decimal digits)
+on integer kernel rows, each solve with an integer residual gate.  The
+expectations are refined from float64 corrections on an exact
+fixed-point residual; where that does not converge they, and every
+reach level, run on one cached LU of I-Q per chain, without pivoting.
+The float64 twins, for large n where cubic cost at high precision is
+prohibitive, share one checked solve and refuse what the mpf twins
+refuse; the Q-taking forms let one float Q serve many.  That solve
+hands LAPACK I-Q with its entries below _TINY (1.5e-154) flushed to 0,
+as subnormal fill made it 2.5-3x slower at n >= 400; its residual gate
+reads the unflushed I-Q.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 import math
 import operator
 
@@ -55,9 +58,10 @@ class SubstochasticSystem:
     Rows are built lazily (and cached) because some solves, notably
     reach probabilities, touch only the states below a threshold.
 
-    The expectations refine on the mpf rows in fixed point, with each
-    correction solved on the float64 Q of `build_q_float`, the one float
-    kernel formula (`fixed_point_q` holds both).  The reach solves, and
+    Every row comes from `int_row`, which the residual gate reads.  The
+    expectations refine on its fixed-point rows, with each correction
+    solved on the float64 Q of `build_q_float`, the one float kernel
+    formula (`fixed_point_q` holds both).  The reach solves, and
     the expectations where refinement fails, run on one cached
     factorization per digit count: the LU of I-Q over states 1..K plus
     a tail column, minus each row's mass above K.  Row i's
@@ -76,7 +80,9 @@ class SubstochasticSystem:
                 f"exact solves are capped at n={MAX_EXACT_N}, got {params.n}")
         self.params = params
         self.precision = precision or PrecisionConfig()
+        self._int_rows: dict[tuple[int, int], list] = {}
         self._rows: dict[tuple[int, int], list] = {}
+        self._sums: dict[int, list[list]] = {}
         self._factors: dict[int, list[list]] = {}
         self._fixed: dict[int, tuple[int, list[list[int]], np.ndarray]] = {}
 
@@ -84,32 +90,45 @@ class SubstochasticSystem:
     def n(self) -> int:
         return self.params.n
 
-    def row(self, i: int, digits: int | None = None) -> list:
-        """Full kernel pmf row at state i as mpf values over j = 0..n-i.
-
-        Term j is the running power fail**m * ratio**j times the exact
-        integer C(m, j), one full-precision product per term; mpf
-        exponents never underflow, so no log-space detour is needed.
-        """
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"transient state i={i} outside [1, {self.n - 1}]")
+    def int_row(self, i: int, digits: int | None = None) -> list:
+        """Full kernel pmf row at state i over j = 0..n-i as (mantissa,
+        exponent) pairs, within 2**-(P+5) relative, P the working bits
+        plus 16: from (q**i)**m, m = n-i, term j is t_{j-1} * R * (m-j+1)
+        / j, R = (1 - q**i) / q**i, cut to w = P + bitlen(m) + 8 bits, with
+        q = 1 - p exact.  Floating mantissas keep a row's far tail accurate
+        where a fixed scale 2**-P would cut it to 0."""
         digits = digits or self.precision.decimal_digits
         key = (i, digits)
-        if key in self._rows:
-            return self._rows[key]
-        with mp.workdps(digits + _GUARD_DIGITS):
-            fail = (1 - mp.mpf(self.params.p)) ** i  # per-node miss q**i
-            m = self.n - i
-            ratio = (1 - fail) / fail
-            power = fail ** m      # fail**(m-j) * (1-fail)**j, running
-            out = [power]
-            binom = 1              # C(m, j), exact
-            for j in range(1, m + 1):
-                power *= ratio
-                binom = binom * (m - j + 1) // j
-                out.append(power * binom)
-        self._rows[key] = out
+        if key in self._int_rows:
+            return self._int_rows[key]
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"transient state i={i} outside [1, {self.n - 1}]")
+        m = self.n - i
+        w = _scale(digits) + m.bit_length() + 8
+        num, den = self.params.p.as_integer_ratio()
+        fail, den = (den - num) ** i, den ** i    # q**i = fail / den
+        with mp.workprec(w + m.bit_length() + 4):
+            ratio, r_exp = (mp.mpf(den - fail) / fail).man_exp
+            man, exp = (mp.mpf((fail, 1 - den.bit_length())) ** m).man_exp
+        out = [(man, exp)]
+        for j in range(1, m + 1):
+            man = man * ratio * (m - j + 1) // j
+            s = max(man.bit_length() - w, 0)
+            man, exp = man >> s, exp + r_exp + s
+            out.append((man, exp))
+        self._int_rows[key] = out
         return out
+
+    def row(self, i: int, digits: int | None = None) -> list:
+        """Full kernel pmf row at state i as mpf values over j = 0..n-i:
+        the integer row's terms rounded to the working precision, for the
+        elimination and ``duration_survival``."""
+        digits = digits or self.precision.decimal_digits
+        key = (i, digits)
+        if key not in self._rows:
+            with mp.workdps(digits + _GUARD_DIGITS):
+                self._rows[key] = [mp.mpf(t) for t in self.int_row(i, digits)]
+        return self._rows[key]
 
     def factors(self, k: int, digits: int | None = None) -> list[list]:
         """LU of [I-Q | tail] over states 1..K, some K >= k: row r holds
@@ -138,35 +157,55 @@ class SubstochasticSystem:
                 if out[r] <= 0:
                     raise ArithmeticError(f"pivot {r + 1} is not positive")
                 lu.append(out)
+            # row r summed from each column j > r on, tail included:
+            # exact sums rounded once, as mp.fsum rounds them
+            self._sums[digits] = [[+v for v in accumulate(reversed(
+                row[r + 1:]), partial(mp.fadd, exact=True))][::-1]
+                for r, row in enumerate(lu)]
         self._factors[digits] = lu
         return lu
 
     def fixed_point_q(self, digits: int | None = None
                       ) -> tuple[int, list[list[int]], np.ndarray]:
         """(P, rows, q): P the working bits plus 16, row i-1 the integers
-        Q(i, j) * 2**P truncated from the mpf row, j = 1..n-i, and q the
-        float64 Q of ``build_q_float``; cached per digit count.
+        Q(i, j) * 2**P truncated from the integer row, j = 1..n-i, and q
+        the float64 Q of ``build_q_float``; cached per digit count.
         """
         digits = digits or self.precision.decimal_digits
         if digits not in self._fixed:
-            with mp.workdps(digits + _GUARD_DIGITS):
-                scale = mp.mp.prec + 16
-            rows = [self.row(i, digits)[1:] for i in range(1, self.n)]
-            fixed = [[man << (e + scale) if e + scale >= 0
-                      else man >> -(e + scale)
-                      for man, e in (v.man_exp for v in row)]
-                     for row in rows]
-            self._fixed[digits] = scale, fixed, build_q_float(self.params)
+            scale = _scale(digits)
+            self._fixed[digits] = scale, [
+                _scaled(self.int_row(i, digits)[1:], scale)
+                for i in range(1, self.n)], build_q_float(self.params)
         return self._fixed[digits]
 
 
+def _scale(digits: int) -> int:
+    """P: the working bits at ``digits`` digits plus 16."""
+    return mp.libmp.dps_to_prec(digits + _GUARD_DIGITS) + 16
+
+
+def _scaled(terms: list, s: int) -> list[int]:
+    """floor(t * 2**s) for each term (man, exp) below 1, so exp < 0."""
+    return [(man << s) >> -exp for man, exp in terms]
+
+
 def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
-                  b: list) -> mp.mpf:
-    """max_i |x(i) - (Qx)(i) - b(i)| over states 1..len(x), from the
-    rows; x is 1 above its last state, as at a reach level's boundary."""
-    xs = x + [mp.mpf(1)] * (system.n - 1 - len(x))
-    return max((abs(xi - bi - mp.fdot(system.row(i, digits)[1:], xs))
-                for i, (xi, bi) in enumerate(zip(x, b), start=1)), default=0)
+                  b: list[int]) -> mp.mpf:
+    """An upper bound on max_i |x(i) - (Qx)(i) - b(i)| over states
+    1..len(x), x being 1 above its last state (a reach level's boundary),
+    exact in integers at 2**-g: g sums the bits of the tolerance, max|x|
+    and n, plus 16, up to P; (2 + (n+1) max|x|) 2**-g covers truncating
+    x and the integer rows to 2**-g, and the rows' own error."""
+    n = system.n
+    mag = mp.mag(1 + max(map(abs, x), default=0))   # max|x| < 2**mag
+    g = min(mag - mp.mag(system.precision.tol(digits)) + n.bit_length()
+            + 16, _scale(digits))
+    xs = [int(mp.ldexp(v, g)) for v in x] + [1 << g] * (n - 1 - len(x))
+    worst = max((abs((xi << g) - (bi << 2 * g) - sum(map(
+        operator.mul, _scaled(system.int_row(i, digits)[1:], g), xs)))
+        for i, (xi, bi) in enumerate(zip(xs, b), start=1)), default=0)
+    return mp.mpf((worst + ((2 + (n + 1 << mag)) << g), -2 * g))
 
 
 def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
@@ -308,8 +347,8 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     """
     m = _states_below(system.n, j_level)
     h = _checked_solve(system, lambda digits: _substitute(
-        system, m, lambda lu: [-mp.fsum(lu[i][m:]) for i in range(m)],
-        digits), [0] * m)
+        system, m, lambda lu: [-s[m - i - 1] for i, s in enumerate(
+            system._sums.get(digits, [])[:m])], digits), [0] * m)
     if any(v < 0 or v > 1 for v in h):
         raise ArithmeticError("reach probability escaped [0, 1]")
     return h

@@ -66,6 +66,95 @@ class TestRows:
             SubstochasticSystem(ModelParams(MAX_EXACT_N + 1, 0.001))
 
 
+class TestIntegerRows:
+    """Rows built once in integers with floating mantissas, against the
+    binomial pmf at twice the digits; their tail keeps its relative
+    accuracy far below the fixed-point scale 2**-P."""
+
+    @pytest.mark.parametrize("n, digits", [(12, 400), (100, 60)])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_within_2_to_the_minus_prec_plus_8_of_twice_the_digits(
+            self, n, c, digits):
+        system = small_system(n, c, digits)
+        prec = mp.libmp.dps_to_prec(digits + exact._GUARD_DIGITS)
+        with mp.workdps(2 * digits + 20):
+            q = 1 - mp.mpf(system.params.p)
+            for i in range(1, n):
+                fail, m = q ** i, n - i
+                for j, (man, e) in enumerate(system.int_row(i)):
+                    want = (mp.binomial(m, j) * fail ** (m - j)
+                            * (1 - fail) ** j)
+                    assert abs(mp.ldexp(man, e) - want) \
+                        <= mp.ldexp(want, -(prec + 8))
+
+    def test_refined_solves_build_no_mpf_rows(self):
+        system = small_system(n=30, c=1.1)
+        expected_duration(system)
+        expected_size(system)
+        assert not system._rows and not system._factors
+        assert set(system._int_rows) == {(i, 60) for i in range(1, 30)}
+
+    def test_row_rounds_the_integer_row(self):
+        system = small_system(n=30, c=1.3)
+        with mp.workdps(70):
+            assert system.row(4) == [mp.mpf(t) for t in system.int_row(4)]
+
+    def test_reach_keeps_the_tail_mass(self):
+        # at n=100, c=3 all of h(1) = 1.57e-76 for level 95 flows through
+        # row entries of at most 1.8e-81, where 2**-P is 1.2e-66 at 50
+        # digits: rows in fixed point at 2**-P would give h(1) = 0
+        params = ModelParams.from_intensity(100, 3.0)
+        got = reach_probability(
+            SubstochasticSystem(params, PrecisionConfig(50)), 95)[0]
+        want = reach_probability(
+            SubstochasticSystem(params, PrecisionConfig(100)), 95)[0]
+        assert 1e-77 < want < 1e-75
+        assert abs(got - want) < 1e-30 * want
+
+
+def _reach_20(system):
+    return reach_probability(system, 20)
+
+
+class TestResidualGate:
+    """The integer residual gate bounds the residual from above and
+    refuses a solution that is off by more than the tolerance."""
+
+    @staticmethod
+    def mpf_residual(system, digits, x, b):
+        """max_i |x(i) - (Qx)(i) - b(i)| on rows at twice the digits."""
+        xs = x + [1] * (system.n - 1 - len(x))
+        with mp.workdps(2 * digits + 10):
+            return max(abs(xi - bi - mp.fdot(system.row(i, 2 * digits)[1:],
+                                             xs))
+                       for i, (xi, bi) in enumerate(zip(x, b), start=1))
+
+    def test_bounds_the_mpf_residual_at_twice_the_digits(self):
+        # E(T) near 1e26 here, so the gate's scale reaches max|x|'s bits
+        system = small_system(n=100, c=3.0, digits=60)
+        tol = system.precision.tol()
+        cases = [(expected_duration(system), [1] * 99),
+                 (reach_probability(system, 50), [0] * 49)]
+        assert 1e25 < cases[0][0][-1] < 1e27
+        for x, b in cases:
+            with mp.workdps(70):
+                gate = exact._residual_inf(system, 60, x, b)
+            assert self.mpf_residual(system, 60, x, b) <= gate < tol
+
+    @pytest.mark.parametrize("solve, b", [(expected_duration, [1] * 39),
+                                          (_reach_20, [0] * 19)])
+    def test_flags_a_perturbation_of_ten_tolerances(self, solve, b):
+        system = small_system(n=40, c=1.0)
+        x = solve(system)
+        tol = system.precision.tol()
+        with mp.workdps(70):
+            assert exact._residual_inf(system, 60, x, b) < tol
+            for k in (0, len(x) // 2, len(x) - 1):
+                moved = list(x)
+                moved[k] += 10 * tol
+                assert exact._residual_inf(system, 60, moved, b) >= tol
+
+
 class TestHandOracle:
     """n = 3, p = 1/2: the 2x2 transient system is solvable by hand.
 
@@ -325,7 +414,8 @@ class TestPrecisionRetry:
             == [60, 120]
         assert not (system._factors if refined else system._fixed)
         assert got == want
-        assert max(d for _, d in system._rows) == 120
+        # the retry built its rows at twice the digits
+        assert max(d for _, d in system._int_rows) == 120
 
     @pytest.mark.parametrize("solve", [expected_duration, _reach_12,
                                        _max_12])

@@ -1,11 +1,15 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
-one lockstep engine, one mean-field iteration per deterministic table,
-and no module reaching into a sibling's private names."""
+one integer row builder for the exact tier, one lockstep engine, one
+mean-field iteration per deterministic table, and no module reaching
+into a sibling's private names."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import avalanche
+from avalanche.exact import PrecisionConfig, SubstochasticSystem
+from avalanche.model import ModelParams
 
 SRC = Path(avalanche.__file__).parent
 
@@ -59,6 +63,47 @@ def test_one_float_kernel_formula():
                 if _calls(node, "float")
                 and (_calls(node, "self", "row")
                      or _calls(node, "system", "row"))]
+
+
+def _forms_binomial_terms(function):
+    """A floor division by one of the function's loop variables, as in
+    C(m, j) = C(m, j-1) (m-j+1) // j, or a binomial coefficient call."""
+    loop_names = {name.id for node in ast.walk(function)
+                  if isinstance(node, (ast.For, ast.comprehension))
+                  for name in ast.walk(node.target)
+                  if isinstance(name, ast.Name)}
+    return any(isinstance(node, ast.BinOp)
+               and isinstance(node.op, ast.FloorDiv)
+               and isinstance(node.right, ast.Name)
+               and node.right.id in loop_names
+               for node in ast.walk(function)) or any(
+        _calls(function, *chain) for chain in (
+            ("mp", "binomial"), ("binomial",), ("math", "comb"), ("comb",)))
+
+
+def test_one_integer_row_builder_in_exact():
+    functions = {node.name: node for node in _functions(_trees()["exact.py"])}
+    assert [name for name, node in functions.items()
+            if _forms_binomial_terms(node)] == ["int_row"]
+    # the mpf view, the fixed-point rows and the residual gate read it
+    for name in ("row", "fixed_point_q", "_residual_inf"):
+        assert (_calls(functions[name], "self", "int_row")
+                + _calls(functions[name], "system", "int_row")), name
+    # the reach right-hand sides come from sums formed once per
+    # factorization, not from a sum over factor rows per level
+    assert [name for name, node in functions.items()
+            if _calls(node, "mp", "fsum")] == ["factors"]
+
+
+def test_row_view_keeps_the_traced_interface():
+    # bench/tracer.py wraps row(i, digits=None) and reads _rows by key
+    params = inspect.signature(SubstochasticSystem.row).parameters
+    assert list(params) == ["self", "i", "digits"]
+    assert params["digits"].default is None
+    system = SubstochasticSystem(ModelParams(12, 0.1), PrecisionConfig(60))
+    system.row(3)
+    system.row(5, 120)
+    assert list(system._rows) == [(3, 60), (5, 120)]
 
 
 def test_binomial_step_only_in_the_lockstep_samplers():
