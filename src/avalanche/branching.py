@@ -8,6 +8,7 @@ maxima.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -55,6 +56,7 @@ class BranchingPath:
         return int(self.states.max())
 
 
+@functools.lru_cache
 def extinction_prob(mu: float) -> float:
     """Root alpha != 1 of alpha = exp(-(1-alpha)*mu).
 
@@ -67,6 +69,7 @@ def extinction_prob(mu: float) -> float:
     v = 0: in [-mu, -log(mu)] for mu > 1 and in
     [-log(mu), log(2*(mu - log(mu))/mu)] for mu < 1.  Full double
     precision for mu <= 708; past that alpha leaves the normal floats.
+    Memoized: a campaign asks for a few means many times.
     """
     if mu <= 0:
         raise ValueError(f"mean must be positive, got {mu}")

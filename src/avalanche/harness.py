@@ -3,10 +3,11 @@ streams, bound-verification campaigns, and figure-data regeneration.
 
 ``run_trajectories`` cuts its replicates into blocks of BLOCK_SIZE and
 runs block b in lockstep on the stream keyed (master_seed, b);
-``first_passage_fraction`` and ``simulate_scaled_chain`` run all theirs
-on the stream (master_seed, 0), and the coupling campaign keys path r by
-(master_seed, r).  Either way the estimates are bit-identical for any
-worker count and any scheduling order.  Every exact reference, mpf or float64, comes from ``exact``.
+``first_passage_fraction`` (on occupation counts, ``run_occupation``) and
+``simulate_scaled_chain`` run all theirs on the stream (master_seed, 0),
+and the coupling campaign keys path r by (master_seed, r).  Either way
+the estimates are bit-identical for any worker count and any scheduling
+order.  Every exact reference, mpf or float64, comes from ``exact``.
 """
 
 import concurrent.futures
@@ -31,7 +32,7 @@ from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
                     expected_duration, expected_size, float_expectation,
                     q_powers, reach_float)
 from .exact import kernel_power_mean, reach_probability_float  # re-exported
-from .model import ModelParams, binomial_step, run_block
+from .model import ModelParams, binomial_step, run_block, run_occupation
 from .rng import replicate_rng
 
 SCHEMA_VERSION = 1
@@ -154,8 +155,7 @@ BLOCK_SIZE = 4096
 
 def _trajectory_block(args):
     params, i0, seed, block, size, max_steps = args
-    return run_block(params, i0, size, replicate_rng(seed, block), max_steps,
-                     params.n)
+    return run_block(params, i0, size, replicate_rng(seed, block), max_steps)
 
 
 def run_trajectories(params: ModelParams, i0: int, replicates: int,
@@ -201,26 +201,25 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
                            master_seed: int) -> EstimateWithCI:
     """Monte Carlo estimate of P(hit [j_level, n] before 0 | X_0 = i0).
 
-    One ``run_block`` on the stream keyed (master_seed, 0) with the stop
-    level j_level: each replicate stops at 0 or on first reaching
-    j_level, and has reached it iff its max is >= j_level.  Unlike
-    full-absorption simulation this stays cheap in the supercritical
-    regime, where surviving paths settle into a quasi-equilibrium and
-    would otherwise run for an astronomical number of steps.  Raises if
-    any replicate is still undecided at the cap of 1000 steps (hovering
-    strictly between 0 and the level).  A level outside [1, n] is
-    refused before any draw.
+    One ``run_occupation`` on the stream keyed (master_seed, 0): the
+    replicates are kept as counts per state below j_level, and each
+    stops at 0 or on first reaching j_level.  Unlike full-absorption
+    simulation this stays cheap in the supercritical regime, where
+    surviving paths settle into a quasi-equilibrium and would otherwise
+    run for an astronomical number of steps.  Raises if any replicate is
+    still undecided at the cap of 1000 steps (hovering strictly between
+    0 and the level).  A level outside [1, n] is refused before any draw.
     """
     if not 1 <= j_level <= params.n:
         raise ValueError(f"level must lie in [1, {params.n}], got {j_level}")
     max_steps = 1000
-    stats = run_block(params, i0, replicates, replicate_rng(master_seed, 0),
-                      max_steps, j_level)
-    undecided = int(stats[:, 3].sum())
+    counts = run_occupation(params, i0, replicates,
+                            replicate_rng(master_seed, 0), max_steps, j_level)
+    undecided = int(counts[1:j_level].sum())
     if undecided:
         raise ArithmeticError(
             f"{undecided} replicates undecided after {max_steps} steps")
-    return EstimateWithCI.from_samples(stats[:, 2] >= j_level)
+    return EstimateWithCI.from_samples(np.arange(replicates) < counts[-1])
 
 
 def simulate_scaled_chain(params: ModelParams, x0_count: int, steps: int,

@@ -84,18 +84,25 @@ def excite_probability(params: ModelParams, i: int) -> float:
     return -math.expm1(i * math.log1p(-params.p))
 
 
-def kernel_rows(params: ModelParams, states) -> np.ndarray:
-    """Pmf rows P(X_{k+1} = . | X_k = i) over j = 0..n, one per state i:
-    the binomial log-pmf on one (state, j) grid, cut to 0 below -745."""
+def kernel_rows(params: ModelParams, states, width: int | None = None
+                ) -> np.ndarray:
+    """Pmf rows P(X_{k+1} = j | X_k = i) over j = 0..width-1 (by default
+    all of 0..n), one per state i: the binomial log-pmf on one (state, j)
+    grid, cut to 0 below -745."""
     n = params.n
     states = np.asarray(states, dtype=np.int64)
     s = np.array([excite_probability(params, i) for i in states.tolist()])
-    j = np.arange(n + 1)
+    j = np.arange(n + 1 if width is None else width)
     k = (n - states)[:, None] - j       # n - i - j, negative off the support
-    lg = gammaln(np.arange(1, n + 2))   # lg[t] = log(t!)
+    # lg[t] = log(t!) at every t the grid reads: t < width, and t >= lo,
+    # the least n - i - j >= 0
+    lo = max(0, n - int(states.max(initial=0)) - len(j) + 1)
+    lg = np.zeros(n + 1)
+    lg[:min(lo, len(j))] = gammaln(j[:lo] + 1.0)
+    lg[lo:] = gammaln(np.arange(lo, n + 1) + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = lg[n - states][:, None] - lg   # the log-pmf, summed in place
-        rows -= lg.take(k, mode="clip")
+        rows = lg[n - states][:, None] - lg[:len(j)]  # the log-pmf, summed
+        rows -= lg.take(k, mode="clip")               # in place
         rows += j * np.log(s)[:, None]
         rows += k * (states * math.log1p(-params.p))[:, None]  # log(q**i)
         cut = (rows < -745.0) | (k < 0)
@@ -187,19 +194,15 @@ def binomial_step(n: int, logq: float, x: np.ndarray,
 
 
 def run_block(params: ModelParams, i0: int, size: int,
-              rng: np.random.Generator, max_steps: int,
-              level: int) -> np.ndarray:
+              rng: np.random.Generator, max_steps: int) -> np.ndarray:
     """Run ``size`` replicates from i0 in lockstep; (T, S, max, truncated) rows.
 
-    A replicate stops at 0, on first reaching ``level`` or more (at T = 0
-    with no draw if i0 >= level), or after ``max_steps`` steps; S and max
-    run over x_0..x_T, as in ``simulate_count``, and truncated is 1 only
-    for a replicate strictly between 0 and ``level`` at the cap.  A chain
-    started in 1..n-1 never reaches n (X' <= n - X), so ``level = n``
-    runs each replicate to absorption or the cap.
+    A replicate stops at 0 or after ``max_steps`` steps; S and max run
+    over x_0..x_T, as in ``simulate_count``, and truncated is 1 for a
+    replicate still alive at the cap.
 
     Every step draws the live replicates with one ``binomial_step`` and
-    drops those stopped.  Once at most ``_SCALAR_TAIL`` are left, each
+    drops those absorbed.  Once at most ``_SCALAR_TAIL`` are left, each
     survivor in turn, in row order, finishes with scalar draws from the
     same generator.
     """
@@ -208,9 +211,6 @@ def run_block(params: ModelParams, i0: int, size: int,
         raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
     logq = math.log1p(-params.p)
     out = np.zeros((size, 4), dtype=np.int64)
-    if i0 >= level:
-        out[:, 1:3] = i0
-        return out
     rows = np.arange(size)
     x = np.full(size, i0, dtype=np.int64)
     total = x.copy()
@@ -221,7 +221,7 @@ def run_block(params: ModelParams, i0: int, size: int,
         t += 1
         total += x
         np.maximum(peak, x, out=peak)
-        live = (x != 0) & (x < level)
+        live = x != 0
         if not live.all():
             done = ~live
             gone = rows[done]
@@ -236,12 +236,72 @@ def run_block(params: ModelParams, i0: int, size: int,
             xi = int(rng.binomial(n - xi, -math.expm1(xi * logq)))
             ti += 1
             si += xi
-            if xi > mi:  # only a new maximum can enter [level, n]
+            if xi > mi:
                 mi = xi
-                if xi >= level:
-                    break
-        out[r] = (ti, si, mi, 0 < xi < level)
+        out[r] = (ti, si, mi, xi > 0)
     return out
+
+
+def lumped_rows(params: ModelParams, level: int) -> np.ndarray:
+    """Kernel rows of states 1..level-1 over j = 0..level-1, with one last
+    column for every j >= level: a (level-1) x (level+1) table.
+
+    The float rows' mass misses 1 by rounding (by up to 2.8e-10 at
+    n=10**5, c=1.5).  A head summing past 1 is scaled down by its sum,
+    as ``Generator.multinomial`` refuses one past 1 + 1e-12; past 1 + 1e-8
+    it is a fault and raises.  The last column is what is left of 1.
+    """
+    head = kernel_rows(params, np.arange(1, level), level)
+    mass = head.sum(axis=1)
+    if (mass > 1.0 + 1e-8).any():
+        raise ArithmeticError(f"kernel row mass {mass.max()!r} exceeds 1 at "
+                              f"n={params.n}, p={params.p}")
+    over = mass > 1.0
+    head[over] /= mass[over, None]
+    return np.column_stack([head, np.maximum(0.0, 1.0 - mass)])
+
+
+def run_occupation(params: ModelParams, i0: int, size: int,
+                   rng: np.random.Generator, max_steps: int,
+                   level: int) -> np.ndarray:
+    """Run ``size`` replicates from i0 until each hits 0 or [level, n];
+    returns their occupation counts over 0..level.
+
+    Entry 0 counts the replicates absorbed, entry ``level`` those that
+    reached the level (all of them, with no draw, if i0 >= level), and
+    entry i in 1..level-1 those still in state i after ``max_steps``
+    steps.
+
+    Each step advances the count of every live state in one of two
+    exact ways, whichever touches fewer entries.  If the
+    ``lumped_rows`` table has no more entries than there are replicates,
+    and the live states' rows have fewer than the live replicates, one
+    ``Generator.multinomial`` call draws every live state's split over
+    its row.  Otherwise one ``binomial_step`` draws every live replicate,
+    sorted by state so that numpy keeps its binomial set-up between
+    equal draws, and a ``bincount`` of the draws cut at the level gives
+    the new counts.
+    """
+    n = params.n
+    if not 1 <= i0 <= n - 1:
+        raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
+    logq = math.log1p(-params.p)
+    counts = np.zeros(level + 1, dtype=np.int64)
+    counts[min(i0, level)] = size
+    table = (lumped_rows(params, level)
+             if i0 < level and (level - 1) * (level + 1) <= size else None)
+    for _ in range(max_steps):
+        states = np.flatnonzero(counts[1:level]) + 1
+        if not len(states):
+            break
+        live = counts[states]
+        counts[states] = 0
+        if table is not None and len(states) * (level + 1) < live.sum():
+            counts += rng.multinomial(live, table[states - 1]).sum(axis=0)
+        else:
+            x = binomial_step(n, logq, np.repeat(states, live), rng)
+            counts += np.bincount(np.minimum(x, level), minlength=level + 1)
+    return counts
 
 
 def simulate_set(params: ModelParams, a0: frozenset, rng: np.random.Generator,

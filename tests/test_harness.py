@@ -1,6 +1,7 @@
 """Harness, campaign, and CLI tests."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -73,11 +74,23 @@ class TestTrajectories:
     def test_rows_keyed_by_block(self):
         params = ModelParams.from_intensity(50, 1.0)
         size = harness.BLOCK_SIZE
-        direct = run_block(params, 2, size, replicate_rng(77, 1), 10 ** 6,
-                           params.n)
+        direct = run_block(params, 2, size, replicate_rng(77, 1), 10 ** 6)
         for reps in (2 * size, 2 * size + 10):
             stats = harness.run_trajectories(params, 2, reps, 77)
             np.testing.assert_array_equal(stats[size: 2 * size], direct)
+
+    # sha256 of the int64 rows, first 16 hex digits, recorded before
+    # run_block lost its stop level: no draw may move
+    @pytest.mark.parametrize("n,c,i0,reps,seed,max_steps,digest", [
+        (50, 1.0, 2, 8232, 77, 10 ** 6, "5c6fed17ed951e87"),
+        (30, 2.0, 1, 25, 1, 10 ** 6, "be70b80bd9f79f52"),
+        (10 ** 4, 0.8, 1, 2000, 3, 10 ** 6, "411cdaef94bc9c27"),
+        (100, 5.0, 50, 200, 4, 3, "d3b2b15df444924c")])
+    def test_rows_are_pinned(self, n, c, i0, reps, seed, max_steps, digest):
+        stats = harness.run_trajectories(ModelParams.from_intensity(n, c),
+                                         i0, reps, seed, max_steps=max_steps)
+        assert stats.dtype == np.int64
+        assert hashlib.sha256(stats.tobytes()).hexdigest()[:16] == digest
 
     def test_cap_truncates_every_row(self):
         params = ModelParams.from_intensity(100, 5.0)
@@ -126,10 +139,17 @@ class TestTrajectories:
             assert est.point == 1.0
 
     def test_first_passage_refuses_undecided_replicates(self):
+        # level 99 is out of reach (h(2) = 2.5e-168), so a replicate is
+        # undecided iff it lives past the cap: (Q^1000 1)(2) = 0.9556 over
+        # states 1..98, or 955.6 +- 6.5 of 1000
         params = ModelParams.from_intensity(100, 2.0)
-        with pytest.raises(ArithmeticError, match="962 replicates undecided "
+        with pytest.raises(ArithmeticError, match="963 replicates undecided "
                                                   "after 1000 steps"):
             harness.first_passage_fraction(params, 2, 99, 1000, 1)
+        q = build_q_float(params, 98)[:, :98]
+        alive = (np.linalg.matrix_power(q, 1000) @ np.ones(98))[1]
+        assert abs(963 - 1000 * alive) < 5 * math.sqrt(1000 * alive
+                                                       * (1 - alive))
 
     @pytest.mark.parametrize("level", [0, -5, 101])
     def test_first_passage_refuses_level_outside_range(self, level,
@@ -139,7 +159,7 @@ class TestTrajectories:
         def no_draw(*args):
             raise AssertionError("the level must be refused before any draw")
 
-        monkeypatch.setattr(harness, "run_block", no_draw)
+        monkeypatch.setattr(harness, "run_occupation", no_draw)
         with pytest.raises(ValueError, match="level must lie in"):
             harness.first_passage_fraction(params, 2, level, 1000, 1)
 

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
 
+from avalanche import model
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
-                             build_q_float)
+                             build_q_float, reach_probability)
 from avalanche.model import (ModelParams, Trajectory, conditional_moments,
                              excite_probability, kernel_pmf_exact,
-                             kernel_row, kernel_rows, run_block,
-                             simulate_count, simulate_set, step_count)
+                             kernel_row, kernel_rows, lumped_rows, run_block,
+                             run_occupation, simulate_count, simulate_set,
+                             step_count)
 from avalanche.model import _SCALAR_TAIL
 from avalanche.rng import replicate_rng
 
@@ -149,6 +151,10 @@ class TestKernelGrid:
         assert np.array_equal(build_q_float(params), ref[1:n, 1:n])
         assert np.array_equal(build_q_float(params, n // 2),
                               ref[1:n // 2 + 1, 1:n])
+        # a column cap evaluates log(t!) only on the grid's window of t
+        k = n // 3 + 1
+        assert np.array_equal(kernel_rows(params, range(1, k), k),
+                              ref[1:k, :k])
 
     @pytest.mark.parametrize("n,c", [(800, 0.5), (2000, 1.3)])
     def test_rows_with_the_most_cut_entries_equal_the_row_formula(self, n,
@@ -224,7 +230,7 @@ class TestSimulation:
         # turn, with the same draws simulate_count makes
         params = ModelParams.from_intensity(n, c)
         rows = run_block(params, i0, _SCALAR_TAIL, replicate_rng(3, 0),
-                         max_steps, n)
+                         max_steps)
         rng = replicate_rng(3, 0)
         for row in rows:
             t = simulate_count(params, i0, rng, max_steps)
@@ -235,32 +241,38 @@ class TestSimulation:
                              [(60, 1.2, 2, 10, 2000), (100, 1.5, 3, 10, 5)])
     def test_one_replicate_block_stops_at_the_level(self, n, c, i0, level,
                                                     max_steps):
-        # reached, absorbed and (at the cap of 5) truncated rows alike: the
-        # row is simulate_count's path from the same generator state,
-        # cut at its first state in {0} or [level, n]
+        # reached, absorbed and (at the cap of 5) live replicates alike:
+        # the one count sits where simulate_count's path from the same
+        # generator state first enters {0} or [level, n]
         params = ModelParams.from_intensity(n, c)
         for seed in range(200):
-            row = run_block(params, i0, 1, replicate_rng(seed, 0), max_steps,
-                            level)[0]
+            counts = run_occupation(params, i0, 1, replicate_rng(seed, 0),
+                                    max_steps, level)
             states = simulate_count(params, i0, replicate_rng(seed, 0),
                                     max_steps).states
             stops = np.flatnonzero((states == 0) | (states >= level))
-            cut = states[: stops[0] + 1] if len(stops) else states
-            assert tuple(row) == (len(cut) - 1, cut.sum(), cut.max(),
-                                  int(0 < cut[-1] < level))
+            last = states[stops[0]] if len(stops) else states[-1]
+            assert np.flatnonzero(counts).tolist() == [min(last, level)]
+            assert counts.sum() == 1
 
-    def test_start_at_the_level_stops_without_a_draw(self):
+    def test_start_at_the_level_stops_without_a_draw(self, monkeypatch):
+        # a table of 4 * 6 entries fits 40 replicates, but is not built
+        def no_table(*args):
+            raise AssertionError("a start at the level builds no table")
+
+        monkeypatch.setattr(model, "lumped_rows", no_table)
         params = ModelParams.from_intensity(100, 1.5)
-        rng = replicate_rng(0, 0)
-        rows = run_block(params, 5, 40, rng, 10 ** 6, 5)
-        assert (rows == [0, 5, 5, 0]).all()
-        assert rng.random() == replicate_rng(0, 0).random()
+        for i0 in (5, 7):  # at and above the level
+            rng = replicate_rng(0, 0)
+            counts = run_occupation(params, i0, 40, rng, 10 ** 6, 5)
+            assert counts.tolist() == [0, 0, 0, 0, 0, 40]
+            assert rng.random() == replicate_rng(0, 0).random()
 
     def test_run_block_rejects_absorbed_or_full_start(self):
         params = ModelParams(10, 0.1)
         for i0 in (0, 10):
             with pytest.raises(ValueError):
-                run_block(params, i0, 5, replicate_rng(0, 0), 10 ** 6, 10)
+                run_block(params, i0, 5, replicate_rng(0, 0), 10 ** 6)
 
     def test_step_count_edges(self):
         params = ModelParams(10, 0.5)
@@ -307,3 +319,101 @@ class TestSimulation:
             simulate_set(params, frozenset({0, 1}), rng)
         with pytest.raises(ValueError):
             simulate_set(params, frozenset(range(1, 11)), rng)
+
+
+class _CountingRng:
+    """A generator that counts the calls made to each of its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestOccupation:
+    """``run_occupation``: replicates as counts per state below a level."""
+
+    def test_rejects_absorbed_or_full_start(self):
+        params = ModelParams(10, 0.1)
+        for i0 in (0, 10):
+            with pytest.raises(ValueError):
+                run_occupation(params, i0, 5, replicate_rng(0, 0), 10, 5)
+
+    # (n, c, i0, level, replicates): 10**5 replicates against a table of
+    # (level-1)(level+1) <= 399 entries take the multinomial mode; fewer
+    # replicates than the table's entries take the per-replicate mode
+    # throughout
+    @pytest.mark.parametrize("n,c,i0,level,reps,multinomial", [
+        (30, 1.2, 1, 10, 10 ** 5, True),
+        (100, 0.8, 3, 8, 10 ** 5, True),
+        (50, 2.0, 2, 20, 10 ** 5, True),
+        (50, 2.0, 2, 20, 300, False),
+        (200, 1.5, 2, 40, 10 ** 3, False),
+        (200, 1.5, 2, 60, 10 ** 3, False)])
+    def test_reached_share_is_the_exact_reach(self, n, c, i0, level, reps,
+                                              multinomial):
+        params = ModelParams.from_intensity(n, c)
+        rng = _CountingRng(replicate_rng(17, 0))
+        counts = run_occupation(params, i0, reps, rng, 10 ** 4, level)
+        assert counts[1:level].sum() == 0
+        assert ("multinomial" in rng.calls) == multinomial
+        h = float(reach_probability(
+            SubstochasticSystem(params, PrecisionConfig(60)), level)[i0 - 1])
+        se = math.sqrt(h * (1 - h) / reps)
+        assert abs(counts[level] / reps - h) < 5 * se
+
+    @pytest.mark.parametrize("level,reps", [(10, 10 ** 4), (40, 10 ** 3)])
+    def test_every_step_conserves_the_replicates(self, level, reps):
+        # the run capped at t steps is the first t steps of the full run
+        params = ModelParams.from_intensity(200, 1.5)
+        before = np.zeros(level + 1, dtype=np.int64)
+        for t in range(200):
+            counts = run_occupation(params, 2, reps, replicate_rng(5, 0), t,
+                                    level)
+            assert counts.sum() == reps
+            assert (counts >= 0).all()
+            # absorbed and reached only grow
+            assert counts[0] >= before[0] and counts[-1] >= before[-1]
+            before = counts
+            if not counts[1:level].any():
+                break
+        assert t > 3 and not counts[1:level].any()
+
+    def test_lumped_rows_are_a_stochastic_table(self):
+        # full rows at n=10**5, c=1.5 sum to 1 within 2.8e-10, past the
+        # 1e-12 that Generator.multinomial allows
+        params = ModelParams.from_intensity(10 ** 5, 1.5)
+        table = lumped_rows(params, 100)
+        assert table.shape == (99, 101)
+        assert (table >= 0).all()
+        assert (table[:, :-1].sum(axis=1) <= 1 + 1e-12).all()
+        assert np.allclose(table.sum(axis=1), 1, rtol=0, atol=1e-9)
+        rng = replicate_rng(0, 0)
+        assert rng.multinomial(np.full(99, 10 ** 4), table).sum() == 99 * 10 ** 4
+
+    @pytest.mark.parametrize("excess,raises", [(5e-9, False), (2e-8, True)])
+    def test_lumped_rows_refuse_a_row_mass_past_1(self, excess, raises,
+                                                  monkeypatch):
+        grid = model.kernel_rows
+
+        def inflated(*args):
+            return grid(*args) * (1 + excess)
+
+        monkeypatch.setattr(model, "kernel_rows", inflated)
+        params = ModelParams.from_intensity(50, 0.5)
+        if raises:
+            with pytest.raises(ArithmeticError, match="row mass"):
+                lumped_rows(params, 10)
+        else:   # the heads past 1 are scaled to 1 and lose their tail
+            table = lumped_rows(params, 10)
+            over = inflated(params, range(1, 10), 10).sum(axis=1) > 1
+            assert over.any()
+            assert (table[:, :-1].sum(axis=1) <= 1 + 1e-12).all()
+            assert (table[over, -1] == 0).all()

@@ -113,7 +113,7 @@ def test_binomial_step_only_in_the_lockstep_samplers():
                      if isinstance(node, ast.FunctionDef)
                      and _calls(node, "binomial_step"))
     assert callers == ["harness.py:simulate_scaled_chain",
-                       "model.py:run_block"]
+                       "model.py:run_block", "model.py:run_occupation"]
 
 
 def test_deterministic_table_iterates_the_map_once():
