@@ -8,7 +8,8 @@ constant B in the maxima estimates) accept the missing pieces as
 explicit user-supplied slack and mark the report as partial.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -26,9 +27,11 @@ class BoundReport:
     """One named bound evaluated at one parameter point.
 
     ``satisfied`` is "holds", "violated", or "inconclusive"; the latter
-    covers vacuous bounds and reference values whose error bar straddles
-    an endpoint.  ``partial`` marks bounds whose non-constructive part
-    was omitted or replaced by configured slack.
+    covers vacuous bounds, a missing or NaN reference, a NaN error bar
+    and one straddling an endpoint.  A report is judged when built (by
+    ``dataclasses.replace`` too); a NaN bound is refused.  ``partial``
+    marks bounds whose non-constructive part was omitted or replaced by
+    configured slack.
     """
 
     name: str
@@ -37,32 +40,32 @@ class BoundReport:
     upper: float | None = None
     reference_value: float | None = None
     reference_error: float = 0.0
-    satisfied: str = INCONCLUSIVE
+    satisfied: str = field(default=INCONCLUSIVE, init=False)
     partial: bool = False
     note: str = ""
 
     def __post_init__(self):
-        if (self.lower is not None and self.upper is not None
-                and self.lower > self.upper):
-            raise ValueError(
-                f"{self.name}: lower {self.lower} exceeds upper {self.upper}")
+        lo = -math.inf if self.lower is None else self.lower
+        hi = math.inf if self.upper is None else self.upper
+        if not lo <= hi:   # also true when either is NaN
+            raise ValueError(f"{self.name}: bounds {self.lower}, "
+                             f"{self.upper} are crossed or NaN")
+        self.judge()
 
     def judge(self) -> "BoundReport":
-        """Set the verdict from the reference value and its error bar."""
-        if self.reference_value is None:
-            self.satisfied = INCONCLUSIVE
-            return self
+        """Set the verdict from the reference value and its error bar; a
+        NaN in either fails every comparison, so it is inconclusive."""
         v, e = self.reference_value, self.reference_error
-        below = self.lower is not None and v < self.lower - e
-        above = self.upper is not None and v > self.upper + e
-        if below or above:
+        if v is None:
+            self.satisfied = INCONCLUSIVE
+        elif ((self.lower is not None and v < self.lower - e)
+              or (self.upper is not None and v > self.upper + e)):
             self.satisfied = VIOLATED
         elif ((self.lower is None or v >= self.lower + e)
               and (self.upper is None or v <= self.upper - e)):
             self.satisfied = HOLDS
-        else:
-            # inside the envelope but within one error bar of an endpoint
-            self.satisfied = HOLDS if e == 0.0 else INCONCLUSIVE
+        else:   # inside the envelope but within one error bar of an end
+            self.satisfied = INCONCLUSIVE
         return self
 
     def to_dict(self) -> dict:
@@ -215,10 +218,13 @@ def duration_bounds_single(params, i0: int, m: int,
     inputs = {"n": n, "p": params.p, "i0": i0, "m": m}
     lower, upper = agresti_duration_bounds(c, i0, m)
     if c > 1.0:
-        x = level if level is not None else (n - 1) / c ** m
-        if not 0.0 < x * c ** m < n:
-            raise ValueError(f"need 0 < x*c**m < n, got x={x}")
-        err = 1.5 * c ** (1.5 * (m + 1)) * m * x ** 1.5 / n
+        # x*c**m exactly (c = num/den): c**m overflows a float for large m
+        num, den = c.as_integer_ratio()
+        xc = n - 1 if level is None else Fraction(level) * num ** m / den ** m
+        if not 0 < xc < n:
+            raise ValueError(f"need 0 < x*c**m < n, got x={level}")
+        x = level if level is not None else (n - 1) * den ** m / num ** m
+        err = 1.5 * m * (c * float(xc)) ** 1.5 / n
         partial = theta is None or k_const is None
         if not partial:
             err += k_const ** i0 * math.exp(-theta * x)

@@ -225,11 +225,8 @@ def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 
 
-def _substitute(system: SubstochasticSystem, k: int, reduce,
-                digits: int) -> list:
-    """Solve U x = reduce(factors of states 1..k) by back substitution."""
-    lu = system.factors(k, digits)
-    x = reduce(lu)
+def _back(lu: list[list], x: list) -> list:
+    """Back substitution U x = y in place on the leading len(x) states."""
     for i in range(len(x) - 1, -1, -1):
         x[i] = (x[i] - mp.fdot(lu[i][i + 1:len(x)], x[i + 1:])) / lu[i][i]
     return x
@@ -289,16 +286,14 @@ def _expectation(system: SubstochasticSystem, b: list[int],
                  what: str) -> list:
     """(I-Q)^-1 b over states 1..n-1, refined or else by forward and back
     substitution; at least b, as the chain starts in i."""
-    def forward(lu):
-        y = []
-        for row, bi in zip(lu, b):
-            y.append(bi - mp.fdot(row, y))
-        return y
-
     def solve(digits):
         x = _refine(system, b, digits)
-        return x if x is not None else _substitute(
-            system, system.n - 1, forward, digits)
+        if x is not None:
+            return x
+        lu, y = system.factors(system.n - 1, digits), []
+        for row, bi in zip(lu, b):
+            y.append(bi - mp.fdot(row, y))
+        return _back(lu, y)
 
     x = _checked_solve(system, solve, b)
     if any(v < bi for v, bi in zip(x, b)):
@@ -346,9 +341,10 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
     """
     m = _states_below(system.n, j_level)
-    h = _checked_solve(system, lambda digits: _substitute(
-        system, m, lambda lu: [-s[m - i - 1] for i, s in enumerate(
-            system._sums.get(digits, [])[:m])], digits), [0] * m)
+    # factors fills _sums before they are read; factors(0) leaves it unset
+    h = _checked_solve(system, lambda digits: _back(
+        system.factors(m, digits), [-s[m - i - 1] for i, s in enumerate(
+            system._sums.get(digits, [])[:m])]), [0] * m)
     if any(v < 0 or v > 1 for v in h):
         raise ArithmeticError("reach probability escaped [0, 1]")
     return h

@@ -2,21 +2,24 @@
 streams, bound-verification campaigns, and figure-data regeneration.
 
 ``run_trajectories`` cuts its replicates into blocks of BLOCK_SIZE and
-runs block b in lockstep on the stream keyed (master_seed, b);
+runs block b with ``run_block`` on the stream keyed (master_seed, b),
+with no more worker processes than blocks;
 ``first_passage_fraction`` (on occupation counts, ``run_occupation``) and
 ``simulate_scaled_chain`` run all theirs on the stream (master_seed, 0),
 and the coupling campaign keys path r by (master_seed, r).  Either way
 the estimates are bit-identical for any worker count and any scheduling
-order.  Every exact reference, mpf or float64, comes from ``exact``.
+order.  Every exact reference, mpf or float64, comes from ``exact``;
+each ``BoundReport`` judges itself against its reference when built.
 """
 
 import concurrent.futures
 import configparser
 import csv
+import functools
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -153,11 +156,6 @@ class EstimateWithCI:
 BLOCK_SIZE = 4096
 
 
-def _trajectory_block(args):
-    params, i0, seed, block, size, max_steps = args
-    return run_block(params, i0, size, replicate_rng(seed, block), max_steps)
-
-
 def run_trajectories(params: ModelParams, i0: int, replicates: int,
                      master_seed: int, workers: int = 1,
                      max_steps: int = 10 ** 6) -> np.ndarray:
@@ -167,16 +165,19 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
     lockstep by ``run_block`` on the stream keyed (master_seed, b).  A
     full block's rows are therefore the same for any worker count and
     any total number of replicates; a final partial block is a smaller
-    run of its own on the same stream.
+    run of its own on the same stream.  A pool starts at most one
+    process per block, and none for a single block.
     """
-    tasks = [(params, i0, master_seed, b, min(BLOCK_SIZE, replicates - lo),
-              max_steps)
-             for b, lo in enumerate(range(0, replicates, BLOCK_SIZE))]
-    if workers == 1 or len(tasks) == 1:
-        blocks = [_trajectory_block(task) for task in tasks]
+    sizes = [min(BLOCK_SIZE, replicates - lo)
+             for lo in range(0, replicates, BLOCK_SIZE)]
+    rngs = (replicate_rng(master_seed, b) for b in range(len(sizes)))
+    block = functools.partial(run_block, params, i0, max_steps=max_steps)
+    workers = min(workers, len(sizes))
+    if workers <= 1:
+        blocks = list(map(block, sizes, rngs))
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            blocks = list(pool.map(_trajectory_block, tasks))
+            blocks = list(pool.map(block, sizes, rngs))
     return np.concatenate(blocks or [np.empty((0, 4), dtype=np.int64)])
 
 
@@ -353,10 +354,10 @@ def _drift_reports(params: ModelParams, q: np.ndarray) -> list:
     return [
         bc.BoundReport("supermartingale_drift", {"n": n, "p": params.p},
                        upper=0.0, reference_value=worst_mean,
-                       reference_error=1e-9 * n * c).judge(),
+                       reference_error=1e-9 * n * c),
         bc.BoundReport("heterogeneity_drift", {"n": n, "p": params.p},
                        upper=0.0, reference_value=worst_het,
-                       reference_error=1e-9 * n * n * c).judge(),
+                       reference_error=1e-9 * n * n * c),
     ]
 
 
@@ -374,7 +375,7 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                     "agresti_sandwich", {"c": c, "i0": i0, "m": m},
                     lower=lo, upper=hi,
                     reference_value=gw_extinct_by(c, i0, m),
-                    reference_error=1e-12).judge())
+                    reference_error=1e-12))
     for n in n_grid:
         for c in c_grid:
             params = ModelParams.from_intensity(n, c)
@@ -392,19 +393,19 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                         "mean_decay", {"n": n, "c": c, "i0": i0, "k": k},
                         upper=bc.mean_decay_bound(params, eh0, k),
                         reference_value=float(means[k][i0 - 1]),
-                        reference_error=1e-9).judge())
+                        reference_error=1e-9))
                     naive, refined = bc.survival_bounds(params, eh0, k)
                     reports.append(bc.BoundReport(
                         "survival_naive", {"n": n, "c": c, "i0": i0, "k": k},
                         upper=naive, reference_value=float(surv[k][i0 - 1]),
-                        reference_error=1e-9).judge())
+                        reference_error=1e-9))
                     if refined <= 1.0:
                         reports.append(bc.BoundReport(
                             "survival_refined",
                             {"n": n, "c": c, "i0": i0, "k": k},
                             upper=refined,
                             reference_value=float(surv[k][i0 - 1]),
-                            reference_error=1e-9).judge())
+                            reference_error=1e-9))
                 if c < 1.0:
                     lo, hi = bc.size_bounds_single(
                         params, float(i0), float(i0 * i0), c)
@@ -412,22 +413,21 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                         "size_sandwich", {"n": n, "c": c, "i0": i0},
                         lower=lo, upper=hi,
                         reference_value=float(es[i0 - 1]),
-                        reference_error=1e-8).judge())
+                        reference_error=1e-8))
                 for m in (1, 3, 5):
-                    rep = bc.duration_bounds_single(params, i0, m)
-                    rep.reference_value = 1.0 - float(surv[m][i0 - 1])
-                    rep.reference_error = 1e-8
-                    reports.append(rep.judge())
+                    reports.append(replace(
+                        bc.duration_bounds_single(params, i0, m),
+                        reference_value=1.0 - float(surv[m][i0 - 1]),
+                        reference_error=1e-8))
                 if c <= 1.0:
                     for m in (max(5, i0 + 1), 10, 15):
                         if m not in tails:
                             tails[m] = reach_float(params, q, m + 1)
                         ref = float(tails[m][i0 - 1]) if i0 <= m else 1.0
                         if c == 1.0:
-                            rep = bc.maxima_bounds(params, i0, m)
-                            rep.reference_value = ref
-                            rep.reference_error = 1e-8
-                            reports.append(rep.judge())
+                            reports.append(replace(
+                                bc.maxima_bounds(params, i0, m),
+                                reference_value=ref, reference_error=1e-8))
                         else:
                             reports.append(bc.BoundReport(
                                 "lindvall_max",
@@ -435,8 +435,7 @@ def verify_campaign(n_grid=(50, 100, 200), c_grid=(0.5, 1.0, 1.5, 2.0),
                                 upper=lindvall_max_bound(c, i0, m + 1),
                                 reference_value=ref,
                                 reference_error=1e-8,
-                                note="asymptotic bound checked at finite n"
-                            ).judge())
+                                note="asymptotic bound checked at finite n"))
     return reports
 
 

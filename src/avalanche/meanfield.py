@@ -72,22 +72,6 @@ def transitional_alpha() -> float:
 
 
 @dataclass(frozen=True)
-class MapParams:
-    """Derived landmarks of the map at one intensity."""
-
-    alpha: float
-    zeta: float | None
-    nu: float
-    chi: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "MapParams":
-        nu, chi = argmax_nu(alpha)
-        zeta = fixed_point_zeta(alpha) if alpha > 1.0 else None
-        return cls(alpha, zeta, nu, chi)
-
-
-@dataclass(frozen=True)
 class MeanFieldPath:
     """psi iteration, the cruder phi envelope, and the branching factor."""
 
@@ -142,13 +126,13 @@ def mean_field_upper_bounds(n: int, p: float, phi0: float,
     """
     alpha = -n * math.log1p(-p)
     path = iterate_mean_field(alpha, phi0, steps=k_max)
-    mp = MapParams.from_alpha(alpha)
-    out = {"alpha": alpha, "phi": path.phi,
-           "cap": max(phi0, mp.chi), "psi": None, "psi_reason": ""}
-    a_tr = transitional_alpha()
+    nu, chi = argmax_nu(alpha)
     # the psi induction needs g increasing up to the starting level:
     # up to zeta when it exists, otherwise up to the argmax
-    mono_cap = mp.zeta if mp.zeta is not None else mp.nu
+    mono_cap = fixed_point_zeta(alpha) if alpha > 1.0 else nu
+    out = {"alpha": alpha, "phi": path.phi,
+           "cap": max(phi0, chi), "psi": None, "psi_reason": ""}
+    a_tr = transitional_alpha()
     if alpha > a_tr:
         out["psi_reason"] = (f"alpha={alpha:.6g} exceeds the transitional "
                              f"value {a_tr:.6g}")

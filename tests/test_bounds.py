@@ -1,5 +1,6 @@
 """Tests for the analytical-bound catalog and the report records."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from avalanche import bounds as bc
-from avalanche.branching import extinction_prob, gw_extinct_by
+from avalanche.branching import (agresti_duration_bounds, extinction_prob,
+                                 gw_extinct_by)
 from avalanche.exact import build_q_float, expected_size_float, q_powers
 from avalanche.harness import kernel_power_mean, reach_probability_float
 from avalanche.model import ModelParams
@@ -41,6 +43,26 @@ class TestBoundReport:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
             bc.BoundReport("b", {}, lower=1.0, upper=0.0)
+
+    @pytest.mark.parametrize("ends", [{"upper": math.nan},
+                                      {"lower": math.nan},
+                                      {"lower": math.nan, "upper": 1.0}])
+    def test_rejects_nan_bound(self, ends):
+        with pytest.raises(ValueError, match="crossed or NaN"):
+            bc.BoundReport("b", {}, reference_value=0.5, **ends)
+
+    @pytest.mark.parametrize("value,error", [(math.nan, 0.0), (0.5, math.nan)])
+    def test_nan_reference_or_error_is_inconclusive(self, value, error):
+        rep = bc.BoundReport("b", {}, lower=0.0, upper=1.0,
+                             reference_value=value, reference_error=error)
+        assert rep.satisfied == bc.INCONCLUSIVE
+        assert rep.judge().satisfied == bc.INCONCLUSIVE
+
+    def test_judged_when_built_and_when_replaced(self):
+        rep = bc.BoundReport("b", {}, upper=1.0, reference_value=1.2)
+        assert rep.satisfied == bc.VIOLATED
+        held = dataclasses.replace(rep, reference_value=0.5)
+        assert held.satisfied == bc.HOLDS and rep.satisfied == bc.VIOLATED
 
     def test_to_dict_round_trip(self):
         rep = bc.BoundReport("b", {"n": 5}, upper=1.0, partial=True,
@@ -177,6 +199,31 @@ class TestDurationBounds:
                                          theta=1.0, k_const=2.0)
         assert not full.partial
         assert full.upper > rep.upper - 1e-12  # tail term only adds
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 5.0])
+    def test_supercritical_term_at_every_horizon(self, c):
+        # c**m overflows a float from m = 1024/log2(c) on (m = 441 at
+        # c = 5); at the default level x*c**m = n-1
+        n = 2000
+        params = ModelParams.from_intensity(n, c)
+        for m in range(1, n):
+            rep = bc.duration_bounds_single(params, 1, m)
+            with mp.workdps(30):
+                x = (n - 1) / mp.mpf(params.c) ** m
+                err = 1.5 * mp.mpf(params.c) ** (1.5 * (m + 1)) * m \
+                    * x ** 1.5 / n
+            assert rep.inputs["x"] == pytest.approx(float(x), rel=1e-15)
+            assert rep.upper - agresti_duration_bounds(params.c, 1, m)[1] \
+                == pytest.approx(float(err), rel=1e-14)
+
+    def test_supercritical_level_beyond_float_range(self):
+        params = ModelParams.from_intensity(2000, 2.0)
+        level = 1999 / 2.0 ** 700   # x*c**m = 1999; c**(1.5m) overflows
+        rep = bc.duration_bounds_single(params, 1, 700, level=level)
+        assert rep.inputs["x"] == level
+        assert math.isfinite(rep.upper)
+        with pytest.raises(ValueError, match="x\\*c\\*\\*m"):
+            bc.duration_bounds_single(params, 1, 1500, level=5e-324)
 
     def test_critical_error_term(self):
         params = ModelParams.from_intensity(1000, 1.0)

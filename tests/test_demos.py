@@ -23,3 +23,28 @@ def test_verify_bounds_demo(capsys):
     assert "341 bound evaluations:" in out
     assert "  holds: 318\n  inconclusive: 23\n  violated: 0" in out
     assert out.rstrip().endswith("no violations.")
+
+
+def _printed(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_avalanche_basics_demo(capsys):
+    assert "  E(T): MC 7.555 +/- 0.057  exact 7.575" in _printed(
+        "avalanche_basics.py", capsys)
+
+
+def test_branching_limit_demo(capsys):
+    assert "  mu = 2.0: alpha = 0.203188" in _printed("branching_limit.py",
+                                                      capsys)
+
+
+def test_exact_analytics_demo(capsys):
+    assert "  3.630432539627067438169885986553563396638 ..." in _printed(
+        "exact_analytics.py", capsys)
+
+
+def test_mean_field_demo(capsys):
+    assert "  a = 0.80000: nu = 0.45342, chi = 0.16629, zeta = nan" \
+        in _printed("mean_field.py", capsys)

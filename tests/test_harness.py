@@ -71,6 +71,35 @@ class TestTrajectories:
             b = harness.run_trajectories(params, 2, reps, 77, workers=workers)
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("reps,workers,pools", [
+        (2 * harness.BLOCK_SIZE + 1, 500, [3]),   # 3 blocks: 3 processes
+        (2 * harness.BLOCK_SIZE, 2, [2]),
+        (harness.BLOCK_SIZE, 500, [])])           # 1 block: no pool
+    def test_pool_never_outnumbers_blocks(self, reps, workers, pools,
+                                          monkeypatch):
+        started = []
+
+        class InProcess:   # records the pool size; starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.concurrent.futures,
+                            "ProcessPoolExecutor", InProcess)
+        params = ModelParams.from_intensity(50, 1.0)
+        rows = harness.run_trajectories(params, 2, reps, 77, workers=workers)
+        assert started == pools
+        np.testing.assert_array_equal(
+            rows, harness.run_trajectories(params, 2, reps, 77))
+
     def test_rows_keyed_by_block(self):
         params = ModelParams.from_intensity(50, 1.0)
         size = harness.BLOCK_SIZE

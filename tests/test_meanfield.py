@@ -52,10 +52,18 @@ class TestMap:
         assert nu == pytest.approx(mf.fixed_point_zeta(a_tr), abs=1e-9)
 
     def test_map_params(self):
-        below = mf.MapParams.from_alpha(0.9)
-        assert below.zeta is None
-        above = mf.MapParams.from_alpha(2.0)
-        assert above.zeta is not None
+        # alpha < 1 has no fixed point: the monotone limit is the argmax
+        assert mf.mean_field_upper_bounds(100, 0.005, 0.05, 10)["psi"] \
+            is not None
+        cold_high = mf.mean_field_upper_bounds(100, 0.005, 0.9, 10)
+        assert cold_high["psi"] is None
+        assert cold_high["psi_reason"] == ("phi0=0.9 above the monotone "
+                                           "range limit 0.470009")
+        assert mf.argmax_nu(cold_high["alpha"])[0] == pytest.approx(
+            0.470009, abs=1e-6)
+        # alpha > 1 has one, and it caps the range below the argmax
+        zeta = mf.fixed_point_zeta(2.0)
+        assert 0.0 < zeta < mf.argmax_nu(2.0)[0]
 
 
 class TestIteration:

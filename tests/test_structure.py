@@ -1,7 +1,7 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one integer row builder for the exact tier, one lockstep engine, one
-mean-field iteration per deterministic table, and no module reaching
-into a sibling's private names."""
+mean-field iteration per deterministic table, no pass-through layer
+left behind, and no module reaching into a sibling's private names."""
 
 import ast
 import inspect
@@ -148,3 +148,17 @@ def test_no_private_name_from_a_sibling():
                   and node.value.id in siblings
                   and node.attr.startswith("_")]
     assert not found
+
+
+def test_no_pass_through_layers():
+    trees = _trees()
+    # reports judge themselves when built
+    assert not [node for node in ast.walk(trees["harness.py"])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "judge"]
+    defined = {f"{name}:{node.name}" for name, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"harness.py:_trajectory_block",
+                          "exact.py:_substitute", "meanfield.py:MapParams"}
