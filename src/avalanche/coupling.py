@@ -4,8 +4,9 @@ Two constructions:
 
 * a monotone triple (X, Q, Z), X <= Q <= Z pathwise, X distributed as
   the avalanche chain and Z as the Galton-Watson chain with mean c: each
-  step drops Q' ~ Poisson(c*x) balls on the n-x resting nodes, thins the
-  occupied nodes to X', and adds Poisson(c*(z-x)) balls to make Z';
+  step drops Q' ~ Poisson(c*x) balls on the n-x resting nodes, counts the
+  occupied nodes from one uniform label per ball (none for a single
+  ball), thins them to X', and adds Poisson(c*(z-x)) balls to make Z';
 * a maximal coupling that keeps the avalanche and branching chains glued
   together until they diverge with exactly the total-variation
   probability of the two one-step laws.
@@ -51,25 +52,40 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
                           rng: np.random.Generator) -> tuple[int, int, int]:
     """One step of the monotone triple from (x, ., z).
 
-    Q' ~ Poisson(c*x) balls land uniformly on the n-x resting nodes; by
-    Poisson splitting the node counts are independent Poisson(c*x/(n-x)),
-    the per-node construction.  Each of the K occupied nodes is excited
-    with probability p_u = (1 - q**x) / (1 - exp(-c*x/(n-x))), so
-    X' ~ Bin(K, p_u) is the avalanche step, and Z' = Q' + Poisson(c*(z-x))
-    is Poisson(c*z).  X' <= K <= Q' <= Z' by construction.
+    Q' ~ Poisson(c*x) balls land uniformly on the m = n-x resting nodes;
+    by Poisson splitting the node counts are independent
+    Poisson(c*x/m), the per-node construction.  Ball j lands on node
+    floor(u_j*m), u_j = ``rng.random()``; u_j <= 1 - 2**-53 keeps the
+    label below m for every m < 2**53, and the labels are uniform to
+    that resolution.  K, the number of distinct labels, is counted on
+    the sorted labels; a single ball takes no draw (K = 1).  Each of the
+    K occupied nodes is excited with probability
+    p_u = (1 - q**x) / (1 - exp(-c*x/m)), so X' ~ Bin(K, p_u) is the
+    avalanche step, and Z' = Q' + Poisson(c*(z-x)) is Poisson(c*z).  A
+    Poisson(0) draw (Q' at x = 0, the top-up at z = x) is skipped; numpy
+    takes no draw for it, so the stream is the same either way.
+    X' <= K <= Q' <= Z' by construction.
     """
+    if not 0 <= x <= params.n - 1:
+        raise ValueError(f"state x={x} outside [0, {params.n - 1}]")
     if x > z:
         raise ValueError(f"monotonicity broken on entry: x={x} > z={z}")
+    if x == 0:  # Poisson(0) takes no draw, and p_u below is 0/0
+        return 0, 0, int(rng.poisson(c * z))
     q_next = int(rng.poisson(c * x))
-    z_next = q_next + int(rng.poisson(c * (z - x)))
-    if q_next == 0:  # covers x = 0, where p_u below is 0/0
+    z_next = q_next + int(rng.poisson(c * (z - x))) if z > x else q_next
+    if q_next == 0:
         return 0, 0, z_next
     m = params.n - x
     p_u = excite_probability(params, x) / -math.expm1(-c * x / m)
     if p_u > 1.0 + 1e-12:
         raise ValueError(
             f"thinning probability {p_u} > 1; coupling constant too small")
-    occupied = len(set(rng.integers(0, m, size=q_next).tolist()))
+    occupied = 1
+    if q_next > 1:
+        labels = (rng.random(q_next) * m).astype(np.intp)
+        labels.sort()
+        occupied += int(np.count_nonzero(labels[1:] != labels[:-1]))
     return int(rng.binomial(occupied, min(p_u, 1.0))), q_next, z_next
 
 
@@ -80,8 +96,8 @@ def simulate_coupled(params: ModelParams, c: float, i0: int,
 
     Truncated after ``DEFAULT_MAX_STEPS`` steps or once z passes z_cap.
     """
-    if i0 < 1:
-        raise ValueError(f"need i0 >= 1, got {i0}")
+    if not 1 <= i0 <= params.n - 1:
+        raise ValueError(f"need 1 <= i0 <= n-1, got i0={i0}")
     check_coupling_constant(params, c)
     xs, qs, zs = [i0], [i0], [i0]
     x, z = i0, i0

@@ -474,7 +474,12 @@ def cmd_deterministic(config: ExperimentConfig) -> dict:
 
 
 def cmd_couple(config: ExperimentConfig) -> dict:
-    """Monotone-coupling campaign: dominance, sizes, divergence rates."""
+    """Monotone-coupling campaign: dominance, sizes, divergence rates.
+
+    ``size_x`` and ``size_z`` average only the paths that ended before
+    the cap on Z (``truncated`` counts the rest), so above criticality
+    they estimate E(S | Z died out), not E(S | X_0 = i0).
+    """
     params = config.model()
     c, i = params.c, config.i0
     try:  # the coupling constant is n*p if admissible, else -n*log(1-p)

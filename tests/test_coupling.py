@@ -77,7 +77,8 @@ class TestMonotoneCoupling:
         assert abs(draws.mean() - c * z0) < 4 * math.sqrt(
             c * z0 / len(draws))
 
-    @pytest.mark.parametrize("x, z", [(2, 2), (2, 3), (0, 2)])
+    @pytest.mark.parametrize("x, z", [(2, 2), (2, 3), (0, 2), (4, 5),
+                                      (1, 1)])
     def test_joint_law_is_the_per_node_construction(self, x, z):
         # exact pmf of (X', Q', Z' - Q') under the per-node construction,
         # by a dynamic program over the n-x resting nodes: each node draws
@@ -111,6 +112,32 @@ class TestMonotoneCoupling:
         cells = ref >= 1e-4
         se = np.sqrt(ref * (1 - ref) / draws)
         assert (np.abs(counts / draws - ref)[cells] < 5 * se[cells]).all()
+
+    def test_top_uniform_labels_a_resting_node(self):
+        # rng.random() is at most 1 - 2**-53, so floor(u*m) <= m-1 for
+        # every node count m < 2**53, powers of two included
+        top = np.nextafter(1.0, 0.0)
+        assert top == 1.0 - 2.0 ** -53
+        m = np.array([1, 2, 3, 98, 9999, 2 ** 20, 2 ** 20 + 1,
+                      3 * 2 ** 40 + 7, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1])
+        draws = replicate_rng(3, 0).integers(1, 2 ** 53, size=10 ** 5)
+        m = np.concatenate([m, draws])
+        assert (top * m < m).all()
+        assert ((top * m).astype(np.intp) == m - 1).all()
+
+    @pytest.mark.parametrize("x, z", [(100, 100), (-1, 3)])
+    def test_rejects_states_outside_the_chain(self, x, z):
+        params = ModelParams.from_intensity(100, 0.8)
+        with pytest.raises(ValueError,
+                           match=rf"state x={x} outside \[0, 99\]"):
+            coupled_step_monotone(params, 0.8, x, z, replicate_rng(0, 0))
+
+    @pytest.mark.parametrize("i0", [0, 100])
+    def test_simulate_rejects_start_outside_the_chain(self, i0):
+        params = ModelParams.from_intensity(100, 0.8)
+        with pytest.raises(ValueError,
+                           match=rf"need 1 <= i0 <= n-1, got i0={i0}"):
+            simulate_coupled(params, 0.8, i0, replicate_rng(0, 0))
 
     def test_rejects_inverted_states(self):
         params = ModelParams.from_intensity(50, 0.8)

@@ -395,6 +395,17 @@ class TestDeterministicAndCouple:
             < 5 * out["divergence_rate"].stderr + 1e-3
         assert out["coupling_c"] == 0.9
 
+    def test_cmd_couple_sizes_skip_truncated_paths(self):
+        # above criticality the size estimates average only the paths
+        # whose Z died out; the rest are counted as truncated
+        config = harness.ExperimentConfig(n=60, c=1.3, i0=2,
+                                          replicates=100, master_seed=5)
+        out = harness.cmd_couple(config)
+        assert 0 < out["truncated"] < config.replicates
+        for key in ("size_x", "size_z"):
+            assert out[key].replicates + out["truncated"] \
+                == config.replicates
+
     def test_cmd_couple_above_admissible_intensity(self):
         # n*p = 2 is not an admissible coupling constant at n = 100, so
         # the campaign falls back to -n*log(1-p)
