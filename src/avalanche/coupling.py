@@ -12,6 +12,7 @@ Two constructions:
   probability of the two one-step laws.
 """
 
+import bisect
 from dataclasses import dataclass
 import functools
 import math
@@ -57,9 +58,10 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
     Poisson(c*x/m), the per-node construction.  Ball j lands on node
     floor(u_j*m), u_j = ``rng.random()``; u_j <= 1 - 2**-53 keeps the
     label below m for every m < 2**53, and the labels are uniform to
-    that resolution.  K, the number of distinct labels, is counted on
-    the sorted labels; a single ball takes no draw (K = 1).  Each of the
-    K occupied nodes is excited with probability
+    that resolution.  K, the number of distinct labels, is the size of
+    their set (``int`` truncates as a cast to an integer array does);
+    a single ball takes no draw (K = 1).  Each of the K occupied nodes
+    is excited with probability
     p_u = (1 - q**x) / (1 - exp(-c*x/m)), so X' ~ Bin(K, p_u) is the
     avalanche step, and Z' = Q' + Poisson(c*(z-x)) is Poisson(c*z).  A
     Poisson(0) draw (Q' at x = 0, the top-up at z = x) is skipped; numpy
@@ -81,11 +83,8 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
     if p_u > 1.0 + 1e-12:
         raise ValueError(
             f"thinning probability {p_u} > 1; coupling constant too small")
-    occupied = 1
-    if q_next > 1:
-        labels = (rng.random(q_next) * m).astype(np.intp)
-        labels.sort()
-        occupied += int(np.count_nonzero(labels[1:] != labels[:-1]))
+    occupied = (len({int(u * m) for u in rng.random(q_next).tolist()})
+                if q_next > 1 else 1)
     return int(rng.binomial(occupied, min(p_u, 1.0))), q_next, z_next
 
 
@@ -179,17 +178,16 @@ def step_divergence_bound(c: float, i: int, n: int) -> float:
     return 1.5 * c * i * i / n
 
 
-def _cdf(w: np.ndarray) -> np.ndarray:
-    """Read-only CDF of the weights w, formed as ``Generator.choice`` forms
-    it: normalize, cumsum, divide by the last entry.  So
-    ``cdf.searchsorted(rng.random(), side="right")`` is the draw
+def _cdf(w: np.ndarray) -> tuple[float, ...]:
+    """CDF of the weights w as an immutable tuple, formed as
+    ``Generator.choice`` forms it: normalize, cumsum, divide by the last
+    entry.  So ``bisect.bisect_right(cdf, rng.random())`` is the draw
     ``rng.choice(len(w), p=w / w.sum())`` makes from the same generator
-    state.  The trailing plateau of 1.0 is cut, as no u < 1 lands on it."""
+    state, the index ``searchsorted(side="right")`` gives.  The trailing
+    plateau of 1.0 is cut, as no u < 1 lands on it."""
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
-    cdf = cdf[: int(cdf.searchsorted(1.0)) + 1].copy()
-    cdf.flags.writeable = False
-    return cdf
+    return tuple(cdf[: int(cdf.searchsorted(1.0)) + 1].tolist())
 
 
 @functools.lru_cache(maxsize=32)
@@ -228,7 +226,7 @@ def step_coupled_maximal(params: ModelParams, i: int,
         return 0, 0, False
     omega, glued, res_x, res_z = _maximal_tables(params, i)
     if rng.random() < omega:
-        v = int(glued.searchsorted(rng.random(), side="right"))
+        v = bisect.bisect_right(glued, rng.random())
         return v, v, False
-    return (int(res_x.searchsorted(rng.random(), side="right")),
-            int(res_z.searchsorted(rng.random(), side="right")), True)
+    return (bisect.bisect_right(res_x, rng.random()),
+            bisect.bisect_right(res_z, rng.random()), True)

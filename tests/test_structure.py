@@ -1,7 +1,8 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one integer row builder for the exact tier, one lockstep engine, one
-mean-field iteration per deterministic table, no pass-through layer
-left behind, and no module reaching into a sibling's private names."""
+mean-field iteration per deterministic table, random generators built
+only from a replicate key, no pass-through layer left behind, and no
+module reaching into a sibling's private names."""
 
 import ast
 import inspect
@@ -114,6 +115,24 @@ def test_binomial_step_only_in_the_lockstep_samplers():
                      and _calls(node, "binomial_step"))
     assert callers == ["harness.py:simulate_scaled_chain",
                        "model.py:run_block", "model.py:run_occupation"]
+
+
+def test_generators_are_built_only_in_rng():
+    # every stream is replicate_rng's keyed Philox; no module builds its
+    # own, entropy-seeded or not
+    def named(node, names):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        return name in names
+    built = {name: sorted(ast.unparse(node.func) for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and named(node, {"Philox", "Generator",
+                                           "default_rng", "SeedSequence",
+                                           "RandomState"}))
+             for name, tree in _trees().items()}
+    assert {k: v for k, v in built.items() if v} == {
+        "rng.py": ["np.random.Generator", "np.random.Philox"]}
 
 
 def test_deterministic_table_iterates_the_map_once():
