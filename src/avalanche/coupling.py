@@ -58,10 +58,9 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
     Poisson(c*x/m), the per-node construction.  Ball j lands on node
     floor(u_j*m), u_j = ``rng.random()``; u_j <= 1 - 2**-53 keeps the
     label below m for every m < 2**53, and the labels are uniform to
-    that resolution.  K, the number of distinct labels, is the size of
-    their set (``int`` truncates as a cast to an integer array does);
-    a single ball takes no draw (K = 1).  Each of the K occupied nodes
-    is excited with probability
+    that resolution.  K, the number of distinct labels, is counted on
+    the sorted labels; a single ball takes no draw (K = 1).  Each of the
+    K occupied nodes is excited with probability
     p_u = (1 - q**x) / (1 - exp(-c*x/m)), so X' ~ Bin(K, p_u) is the
     avalanche step, and Z' = Q' + Poisson(c*(z-x)) is Poisson(c*z).  A
     Poisson(0) draw (Q' at x = 0, the top-up at z = x) is skipped; numpy
@@ -83,8 +82,11 @@ def coupled_step_monotone(params: ModelParams, c: float, x: int, z: int,
     if p_u > 1.0 + 1e-12:
         raise ValueError(
             f"thinning probability {p_u} > 1; coupling constant too small")
-    occupied = (len({int(u * m) for u in rng.random(q_next).tolist()})
-                if q_next > 1 else 1)
+    occupied = 1
+    if q_next > 1:
+        labels = (rng.random(q_next) * m).astype(np.intp)
+        labels.sort()
+        occupied += int(np.count_nonzero(labels[1:] != labels[:-1]))
     return int(rng.binomial(occupied, min(p_u, 1.0))), q_next, z_next
 
 

@@ -359,8 +359,8 @@ class TestMaximalTables:
 
 
 # sha256 of the int64 draws, first 16 hex digits, recorded on the
-# numpy-array step and tables before the set count and the tuple CDFs:
-# no draw may move
+# entropy-seeded Philox and the numpy-array tables, before the key-only
+# streams and the tuple CDFs: no draw may move
 class TestPinnedStreams:
     @pytest.mark.parametrize("n,c,i0,paths,seed,z_cap,digest", [
         (100, 0.8, 2, 200, 5, 10 ** 9, "51d56ec6f3c206d6"),
