@@ -7,9 +7,8 @@ generation-wise extinction sandwich next to the exact iterated value.
 
 import numpy as np
 
-from avalanche.branching import (BranchingParams, agresti_duration_bounds,
-                                 borel_tanner_pmf, extinction_prob,
-                                 gw_extinct_by, gw_simulate)
+from avalanche.branching import (agresti_duration_bounds, borel_tanner_pmf,
+                                 extinction_prob, gw_extinct_by, gw_simulate)
 from avalanche.rng import replicate_rng
 
 
@@ -20,7 +19,7 @@ def main():
 
     lam, i0 = 0.8, 1
     rng = replicate_rng(101, 0)
-    sizes = np.array([gw_simulate(BranchingParams(lam, i0), rng).size
+    sizes = np.array([gw_simulate(lam, i0, rng).size
                       for _ in range(30000)])
     print(f"\ntotal progeny at lam = {lam}, i0 = {i0} "
           f"(30000 runs vs Borel-Tanner):")

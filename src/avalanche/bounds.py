@@ -246,16 +246,6 @@ def duration_bounds_single(params, i0: int, m: int,
     return BoundReport("duration_single_critical", inputs, lower, upper + err)
 
 
-def duration_limits_ensemble(lam: float, i0: int,
-                             m: int) -> tuple[float, float]:
-    """Asymptotic sandwich for lim_n P(T_n <= m) in the ensemble.
-
-    Identical formulas to the branching-process bounds with the
-    ensemble offspring mean in place of c.
-    """
-    return agresti_duration_bounds(lam, i0, m)
-
-
 def duration_scaling_limit(lam: float, i0: int) -> float:
     """Predicted limit for the survival probability on the right scale.
 

@@ -19,20 +19,6 @@ FIXED_POINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BranchingParams:
-    """Offspring mean and initial population of the limiting process."""
-
-    lam: float
-    i0: int = 1
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"offspring mean must be positive, got {self.lam}")
-        if self.i0 < 1:
-            raise ValueError(f"initial population must be >= 1, got {self.i0}")
-
-
-@dataclass(frozen=True)
 class BranchingPath:
     """Generation sizes of one simulated Galton-Watson run."""
 
@@ -126,34 +112,10 @@ def borel_tanner_pmf(lam: float, i0: int, j) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def borel_tanner_total_mass(lam: float, i0: int) -> float:
-    """Sum the Borel-Tanner pmf adaptively until the last block's last
-    term is below rel_tol of the total.
-
-    The critical tail decays like j**-1.5, hence the hard cap max_j.
-    """
-    rel_tol, max_j = 1e-15, 10 ** 6
-    if lam < 1:
-        min_j = int(10.0 / (1.0 - lam) ** 2)
-    else:
-        min_j = max_j
-    total = 0.0
-    block = 4096
-    j0 = i0
-    while j0 <= max_j:
-        j = np.arange(j0, min(j0 + block, max_j + 1))
-        terms = borel_tanner_pmf(lam, i0, j)
-        total += float(terms.sum())
-        if j0 > min_j and terms[-1] < rel_tol * total:
-            break
-        j0 += block
-    return total
-
-
 EXPLOSION_CAP = 10 ** 9
 
 
-def gw_simulate(params: BranchingParams, rng: np.random.Generator,
+def gw_simulate(lam: float, i0: int, rng: np.random.Generator,
                 max_steps: int = 10 ** 6,
                 explosion_cap: int = EXPLOSION_CAP) -> BranchingPath:
     """Simulate generation sizes Z_0 = i0, Z_{k+1} ~ Poisson(lam * Z_k).
@@ -161,10 +123,14 @@ def gw_simulate(params: BranchingParams, rng: np.random.Generator,
     A population above ``explosion_cap`` stops the run and flags it as
     escaped (counted as survival in extinction statistics).
     """
-    z = params.i0
+    if lam <= 0:
+        raise ValueError(f"offspring mean must be positive, got {lam}")
+    if i0 < 1:
+        raise ValueError(f"initial population must be >= 1, got {i0}")
+    z = i0
     states = [z]
     for _ in range(max_steps):
-        z = int(rng.poisson(params.lam * z))
+        z = int(rng.poisson(lam * z))
         states.append(z)
         if z == 0:
             return BranchingPath(np.array(states))

@@ -118,22 +118,6 @@ def simulate_coupled(params: ModelParams, c: float, i0: int,
     return CoupledPath(np.array(xs), np.array(qs), np.array(zs), truncated)
 
 
-def tv_binomial_poisson(n_trials: int, p: float) -> float:
-    """TV bound (p/2)*min(1, n*p) between Bin(n,p) and Poisson(n*p)."""
-    if n_trials < 0:
-        raise ValueError(f"trial count must be >= 0, got {n_trials}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need 0 < p < 1, got {p}")
-    return 0.5 * p * min(1.0, n_trials * p)
-
-
-def tv_poisson_poisson(mu: float, c: float) -> float:
-    """TV bound min(1, 1/sqrt(c)) * (c - mu) between Poisson(mu), Poisson(c)."""
-    if not 0.0 < mu < c:
-        raise ValueError(f"need 0 < mu < c, got mu={mu}, c={c}")
-    return min(1.0, 1.0 / math.sqrt(c)) * (c - mu)
-
-
 def _pad_pair(pmf1: np.ndarray,
               pmf2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pmf1 and pmf2, zero-padded to the longer one's support."""

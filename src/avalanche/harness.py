@@ -35,7 +35,8 @@ from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
                     expected_duration, expected_size, float_expectation,
                     q_powers, reach_float)
 from .exact import kernel_power_mean, reach_probability_float  # re-exported
-from .model import ModelParams, binomial_step, run_block, run_occupation
+from .model import (DEFAULT_MAX_STEPS, ModelParams, binomial_step, run_block,
+                    run_occupation)
 from .rng import replicate_rng
 
 SCHEMA_VERSION = 1
@@ -76,7 +77,7 @@ class ExperimentConfig:
     workers: int = 1
     digits: int = 400
     out: str | None = None
-    max_steps: int = 10 ** 6
+    max_steps: int = DEFAULT_MAX_STEPS
     c_list: tuple = (0.9, 1.0, 1.1, 1.3)
     i0_max: int = 50
 
@@ -158,7 +159,7 @@ BLOCK_SIZE = 4096
 
 def run_trajectories(params: ModelParams, i0: int, replicates: int,
                      master_seed: int, workers: int = 1,
-                     max_steps: int = 10 ** 6) -> np.ndarray:
+                     max_steps: int = DEFAULT_MAX_STEPS) -> np.ndarray:
     """Simulate; returns an array of (T, S, max, truncated) rows.
 
     Rows b*BLOCK_SIZE .. (b+1)*BLOCK_SIZE - 1 form block b, run in
@@ -187,14 +188,6 @@ def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
     sizes = stats[ok, 1]
     return np.bincount(np.clip(sizes, 0, j_max), minlength=j_max + 1) \
         / ok.sum()
-
-
-def survival_fraction(params: ModelParams, i0: int, replicates: int,
-                      master_seed: int, m: int) -> EstimateWithCI:
-    """Monte Carlo estimate of P(T > m)."""
-    stats = run_trajectories(params, i0, replicates, master_seed,
-                             max_steps=m + 1)
-    return EstimateWithCI.from_samples(stats[:, 0] > m)
 
 
 def first_passage_fraction(params: ModelParams, i0: int, j_level: int,

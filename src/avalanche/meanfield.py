@@ -149,11 +149,6 @@ def innovation_variance(lam: float, x):
     return g(lam, x) * np.exp(-lam * x)
 
 
-def heterogeneity_r(x):
-    """r(x) = x(1-x)/2, the limit of the normalized heterogeneity."""
-    return 0.5 * x * (1.0 - x)
-
-
 @dataclass(frozen=True)
 class FluctuationModel:
     """Slopes and innovation variances of the AR(1) limit along psi."""

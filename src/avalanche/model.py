@@ -71,10 +71,6 @@ class Trajectory:
     def max(self) -> int:
         return int(self.states.max())
 
-    def heterogeneity(self, n: int) -> np.ndarray:
-        """H_k = x_k * (n - x_k) along the path."""
-        return self.states * (n - self.states)
-
 
 def excite_probability(params: ModelParams, i: int) -> float:
     """1 - q**i, the per-node excitation probability given i excited nodes."""
@@ -133,18 +129,6 @@ def kernel_pmf_exact(params: ModelParams, i: int, j: int) -> Fraction:
     s = 1 - q ** i
     m = n - i
     return math.comb(m, j) * s ** j * (1 - s) ** (m - j)
-
-
-def conditional_moments(params: ModelParams, i: int) -> tuple[float, float]:
-    """(E[X_{k+1} | X_k=i], E[X_{k+1}**2 | X_k=i]) in closed form."""
-    n = params.n
-    if not 0 <= i <= n:
-        raise ValueError(f"state i={i} outside [0, {n}]")
-    s = excite_probability(params, i)
-    m = n - i
-    mean = m * s
-    second = m * s * (1.0 - s) + (m * s) ** 2
-    return mean, second
 
 
 def step_count(params: ModelParams, i: int, rng: np.random.Generator) -> int:

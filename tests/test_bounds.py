@@ -277,11 +277,6 @@ class TestDurationBounds:
                         assert rep.inputs["J"] == i0 + 1 + int(
                             np.argmin(errs))
 
-    def test_ensemble_limits_are_branching_bounds(self):
-        from avalanche.branching import agresti_duration_bounds
-        assert bc.duration_limits_ensemble(0.8, 2, 4) \
-            == agresti_duration_bounds(0.8, 2, 4)
-
 
 class TestScaling:
     def test_limit_values(self):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avalanche.branching import (BranchingParams, agresti_duration_bounds,
-                                 borel_tanner_pmf, borel_tanner_total_mass,
+from avalanche.branching import (agresti_duration_bounds, borel_tanner_pmf,
                                  duration_tail_r, duration_tail_s,
                                  extinction_prob, gw_extinct_by, gw_simulate,
                                  lindvall_max_bound, ruin_ratio)
@@ -104,12 +103,14 @@ class TestBorelTanner:
     def test_subcritical_total_mass_is_one(self):
         for lam in (0.3, 0.5, 0.8):
             for i0 in (1, 3):
-                assert borel_tanner_total_mass(lam, i0) == pytest.approx(
-                    1.0, abs=1e-9)
+                j = np.arange(i0, 200000)
+                assert float(borel_tanner_pmf(lam, i0, j).sum()) \
+                    == pytest.approx(1.0, abs=1e-9)
 
     def test_supercritical_mass_is_extinction_prob(self):
         lam, i0 = 1.5, 2
-        assert borel_tanner_total_mass(lam, i0) == pytest.approx(
+        j = np.arange(i0, 200000)
+        assert float(borel_tanner_pmf(lam, i0, j).sum()) == pytest.approx(
             extinction_prob(lam) ** i0, abs=1e-9)
 
     def test_mean_subcritical(self):
@@ -122,7 +123,7 @@ class TestBorelTanner:
     def test_matches_monte_carlo(self):
         lam, i0 = 0.8, 1
         rng = replicate_rng(42, 0)
-        sizes = np.array([gw_simulate(BranchingParams(lam, i0), rng).size
+        sizes = np.array([gw_simulate(lam, i0, rng).size
                           for _ in range(20000)])
         grid = np.arange(1, 30)
         emp = np.array([(sizes == j).mean() for j in grid])
@@ -142,7 +143,7 @@ class TestGwSimulation:
     def test_paths_absorb_or_escape(self):
         rng = replicate_rng(3, 0)
         for _ in range(100):
-            path = gw_simulate(BranchingParams(0.9, 2), rng)
+            path = gw_simulate(0.9, 2, rng)
             assert path.states[0] == 2
             assert path.extinct
             assert path.states[-1] == 0
@@ -151,16 +152,24 @@ class TestGwSimulation:
     def test_extinction_frequency(self):
         lam, i0 = 1.4, 1
         rng = replicate_rng(11, 0)
-        ext = np.mean([gw_simulate(BranchingParams(lam, i0), rng).extinct
+        ext = np.mean([gw_simulate(lam, i0, rng).extinct
                        for _ in range(20000)])
         ref = extinction_prob(lam) ** i0
         assert abs(ext - ref) < 4 * math.sqrt(ref * (1 - ref) / 20000)
 
     def test_escape_flag(self):
-        path = gw_simulate(BranchingParams(3.0, 100), replicate_rng(0, 0),
+        path = gw_simulate(3.0, 100, replicate_rng(0, 0),
                            explosion_cap=1000)
         assert path.escaped
         assert not path.extinct
+
+    def test_rejects_bad_parameters(self):
+        rng = replicate_rng(0, 0)
+        for lam, i0 in ((0.0, 1), (-0.5, 1), (0.8, 0), (0.8, -1)):
+            with pytest.raises(ValueError):
+                gw_simulate(lam, i0, rng)
+        # refused before any draw
+        assert rng.random() == replicate_rng(0, 0).random()
 
 
 class TestGwExtinctBy:
@@ -181,8 +190,7 @@ class TestGwExtinctBy:
     def test_matches_monte_carlo(self):
         lam, i0, m = 1.0, 1, 3
         rng = replicate_rng(8, 0)
-        frac = np.mean([gw_simulate(BranchingParams(lam, i0), rng,
-                                    max_steps=m).extinct
+        frac = np.mean([gw_simulate(lam, i0, rng, max_steps=m).extinct
                         for _ in range(20000)])
         ref = gw_extinct_by(lam, i0, m)
         assert abs(frac - ref) < 4 * math.sqrt(ref * (1 - ref) / 20000)
@@ -244,7 +252,7 @@ class TestLindvallMaxBound:
     def test_dominates_monte_carlo_reach(self):
         lam, i0, m = 0.8, 1, 6
         rng = replicate_rng(21, 0)
-        frac = np.mean([gw_simulate(BranchingParams(lam, i0), rng).max >= m
+        frac = np.mean([gw_simulate(lam, i0, rng).max >= m
                         for _ in range(20000)])
         assert frac <= lindvall_max_bound(lam, i0, m) + 0.01
 

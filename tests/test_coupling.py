@@ -6,16 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import binom, poisson
+from scipy.stats import poisson
 
 from avalanche import coupling
 from avalanche.coupling import (CoupledPath, check_coupling_constant,
                                 coupled_step_monotone, _maximal_tables,
                                 _pad_pair, _poisson_pmf_truncated,
-                                simulate_coupled,
-                                step_coupled_maximal, step_divergence_bound,
-                                tv_binomial_poisson, tv_exact,
-                                tv_poisson_poisson)
+                                simulate_coupled, step_coupled_maximal,
+                                step_divergence_bound, tv_exact)
 from avalanche.model import ModelParams, excite_probability, kernel_row
 from avalanche.rng import replicate_rng
 
@@ -161,27 +159,6 @@ class TestTvBounds:
         assert tv_exact(p1, p1) == 0.0
         assert tv_exact(p1, p2) == pytest.approx(0.5)
         assert tv_exact(p1, p2) == pytest.approx(tv_exact(p2, p1))
-
-    def test_binomial_poisson_bound_dominates(self):
-        # the (p/2)*min(1, np) envelope applies in the moderate-np
-        # regime the couplings operate in (np of order 1 and above)
-        for m, p in [(200, 0.01), (100, 0.02), (400, 0.005), (300, 0.02)]:
-            grid = np.arange(m + 1)
-            true_tv = tv_exact(binom.pmf(grid, m, p),
-                               poisson.pmf(np.arange(m + 1), m * p))
-            assert true_tv <= tv_binomial_poisson(m, p) + 1e-12
-
-    def test_poisson_poisson_bound_dominates(self):
-        for mu, c in [(0.5, 0.6), (1.0, 1.3), (2.0, 2.5)]:
-            grid = np.arange(100)
-            true_tv = tv_exact(poisson.pmf(grid, mu), poisson.pmf(grid, c))
-            assert true_tv <= tv_poisson_poisson(mu, c) + 1e-12
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            tv_binomial_poisson(-1, 0.5)
-        with pytest.raises(ValueError):
-            tv_poisson_poisson(2.0, 1.0)
 
     def test_truncated_poisson_pmf(self):
         pmf = _poisson_pmf_truncated(3.0)

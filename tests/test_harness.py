@@ -149,7 +149,8 @@ class TestTrajectories:
 
     def test_survival_and_reach_fractions(self):
         params = ModelParams.from_intensity(60, 1.0)
-        surv = harness.survival_fraction(params, 1, 2000, 5, m=2)
+        stats = harness.run_trajectories(params, 1, 2000, 5, max_steps=3)
+        surv = harness.EstimateWithCI.from_samples(stats[:, 0] > 2)
         ref = q_powers(build_q_float(params), np.ones(59), 2)[2][0]
         assert abs(surv.point - ref) < 4 * surv.stderr + 1e-9
         reach = harness.first_passage_fraction(params, 1, 5, 2000, 5)

@@ -117,10 +117,6 @@ class TestFluctuations:
         assert float(mf.innovation_variance(2.0, 0.25)) == pytest.approx(
             float(mf.g(2.0, 0.25)) * math.exp(-0.5))
 
-    def test_heterogeneity_r(self):
-        assert mf.heterogeneity_r(0.5) == 0.125
-        assert mf.heterogeneity_r(0.0) == 0.0
-
     def test_ar1_sample_variance_matches_recursion(self):
         model = mf.FluctuationModel.from_initial(2.0, 0.1, steps=12)
         rng = replicate_rng(1234, 0)

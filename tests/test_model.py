@@ -12,11 +12,10 @@ from scipy.stats import binom
 from avalanche import model
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
                              build_q_float, reach_probability)
-from avalanche.model import (ModelParams, Trajectory, conditional_moments,
-                             excite_probability, kernel_pmf_exact,
-                             kernel_row, kernel_rows, lumped_rows, run_block,
-                             run_occupation, simulate_count, simulate_set,
-                             step_count)
+from avalanche.model import (ModelParams, excite_probability,
+                             kernel_pmf_exact, kernel_row, kernel_rows,
+                             lumped_rows, run_block, run_occupation,
+                             simulate_count, simulate_set, step_count)
 from avalanche.model import _SCALAR_TAIL
 from avalanche.rng import replicate_rng
 
@@ -180,20 +179,12 @@ class TestKernelGrid:
 
 
 class TestConditionalMoments:
-    def test_matches_kernel_row(self):
-        params = ModelParams(25, 0.11)
-        j = np.arange(26, dtype=float)
-        for i in range(26):
-            row = kernel_row(params, i)
-            mean, second = conditional_moments(params, i)
-            assert mean == pytest.approx(float(row @ j), abs=1e-10)
-            assert second == pytest.approx(float(row @ j ** 2), abs=1e-8)
-
     def test_supermartingale_direction(self):
         # E(X_{k+1} | X_k = i) <= c*i since 1 - q**i <= p*i
         params = ModelParams.from_intensity(80, 1.7)
+        j = np.arange(81, dtype=float)
         for i in range(1, 80):
-            mean, _ = conditional_moments(params, i)
+            mean = float(kernel_row(params, i) @ j)
             assert mean <= params.c * i + 1e-9
 
 
@@ -280,11 +271,6 @@ class TestSimulation:
         assert step_count(params, 0, rng) == 0
         assert step_count(params, 10, rng) == 0
 
-    def test_heterogeneity(self):
-        t = Trajectory(np.array([2, 5, 0]))
-        np.testing.assert_array_equal(t.heterogeneity(10),
-                                      np.array([16, 25, 0]))
-
     def test_set_chain_cardinality_is_count_chain(self):
         params = ModelParams(20, 0.08)
         rng = replicate_rng(99, 0)
@@ -305,8 +291,9 @@ class TestSimulation:
         draws = [len(simulate_set(params, frozenset(range(1, i + 1)),
                                   rng, max_steps=1)[1])
                  for _ in range(4000)]
-        mean, second = conditional_moments(params, i)
-        var = second - mean ** 2
+        row, j = kernel_row(params, i), np.arange(16.0)
+        mean = float(row @ j)
+        var = float(row @ j ** 2) - mean ** 2
         stderr = math.sqrt(var / len(draws))
         assert abs(np.mean(draws) - mean) < 4 * stderr + 1e-9
 

@@ -1,8 +1,9 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one integer row builder for the exact tier, one lockstep engine, one
 mean-field iteration per deterministic table, random generators built
-only from a replicate key, no pass-through layer left behind, and no
-module reaching into a sibling's private names."""
+only from a replicate key, no pass-through layer left behind, no
+module reaching into a sibling's private names, and no function or
+class that neither the CLI nor the public list reaches."""
 
 import ast
 import inspect
@@ -180,4 +181,44 @@ def test_no_pass_through_layers():
                for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"harness.py:_trajectory_block",
-                          "exact.py:_substitute", "meanfield.py:MapParams"}
+                          "exact.py:_substitute", "meanfield.py:MapParams",
+                          "branching.py:BranchingParams",
+                          "bounds.py:duration_limits_ensemble"}
+
+
+def _reached():
+    """Names reached from ``cli.main`` and ``avalanche.__all__`` in a
+    by-name reference graph.  A module-level def, class or assignment
+    refers to every name and attribute written inside it, so a class
+    reaches its methods, and a name reaches whatever is bound to it in
+    any module."""
+    refers = {}
+    for tree in _trees().values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                bound = [target.id for target in stmt.targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            used = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            for name in bound:
+                refers.setdefault(name, set()).update(used)
+    reached, todo = set(), ["main", *avalanche.__all__]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(refers.get(name, ()))
+    return reached
+
+
+def test_every_function_and_class_has_a_caller_or_is_public():
+    reached = _reached()
+    assert not [f"{name}:{node.name}" for name, tree in _trees().items()
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in reached]
