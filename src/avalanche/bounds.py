@@ -28,10 +28,10 @@ class BoundReport:
 
     ``satisfied`` is "holds", "violated", or "inconclusive"; the latter
     covers vacuous bounds, a missing or NaN reference, a NaN error bar
-    and one straddling an endpoint.  A report is judged when built (by
-    ``dataclasses.replace`` too); a NaN bound is refused.  ``partial``
-    marks bounds whose non-constructive part was omitted or replaced by
-    configured slack.
+    and one straddling an endpoint.  A report with a reference is judged
+    when built (by ``dataclasses.replace`` too); a NaN bound is refused.
+    ``partial`` marks bounds whose non-constructive part was omitted or
+    replaced by configured slack.
     """
 
     name: str
@@ -50,7 +50,8 @@ class BoundReport:
         if not lo <= hi:   # also true when either is NaN
             raise ValueError(f"{self.name}: bounds {self.lower}, "
                              f"{self.upper} are crossed or NaN")
-        self.judge()
+        if self.reference_value is not None:  # else the default verdict
+            self.judge()
 
     def judge(self) -> "BoundReport":
         """Set the verdict from the reference value and its error bar; a

@@ -7,7 +7,6 @@ classical Agresti / Lindvall bounds used to sandwich duration and
 maxima.
 """
 
-from dataclasses import dataclass
 import functools
 import math
 
@@ -15,31 +14,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from .model import DEFAULT_MAX_STEPS, Trajectory
+
 FIXED_POINT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BranchingPath:
-    """Generation sizes of one simulated Galton-Watson run."""
-
-    states: np.ndarray
-    escaped: bool = False  # population blew past the explosion cap
-
-    @property
-    def extinct(self) -> bool:
-        return not self.escaped and self.states[-1] == 0
-
-    @property
-    def duration(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def size(self) -> int:
-        return int(self.states.sum())
-
-    @property
-    def max(self) -> int:
-        return int(self.states.max())
 
 
 @functools.lru_cache
@@ -116,12 +93,13 @@ EXPLOSION_CAP = 10 ** 9
 
 
 def gw_simulate(lam: float, i0: int, rng: np.random.Generator,
-                max_steps: int = 10 ** 6,
-                explosion_cap: int = EXPLOSION_CAP) -> BranchingPath:
+                max_steps: int = DEFAULT_MAX_STEPS,
+                explosion_cap: int = EXPLOSION_CAP) -> Trajectory:
     """Simulate generation sizes Z_0 = i0, Z_{k+1} ~ Poisson(lam * Z_k).
 
-    A population above ``explosion_cap`` stops the run and flags it as
-    escaped (counted as survival in extinction statistics).
+    A population above ``explosion_cap``, or one still alive after
+    ``max_steps`` generations, stops the run and marks it truncated
+    (counted as survival in extinction statistics).
     """
     if lam <= 0:
         raise ValueError(f"offspring mean must be positive, got {lam}")
@@ -133,10 +111,10 @@ def gw_simulate(lam: float, i0: int, rng: np.random.Generator,
         z = int(rng.poisson(lam * z))
         states.append(z)
         if z == 0:
-            return BranchingPath(np.array(states))
+            return Trajectory(np.array(states))
         if z > explosion_cap:
-            return BranchingPath(np.array(states), escaped=True)
-    return BranchingPath(np.array(states), escaped=True)
+            break
+    return Trajectory(np.array(states), truncated=True)
 
 
 def gw_extinct_by(lam: float, i0: int, m: int) -> float:

@@ -29,10 +29,6 @@ class ModelParams:
             raise ValueError(f"need 0 < p < 1, got p={self.p}")
 
     @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
     def c(self) -> float:
         """Intensity factor n*p."""
         return self.n * self.p
@@ -50,7 +46,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realized avalanche path.
+    """One realized path of a count process absorbed at 0: the avalanche
+    chain, or its branching limit (``branching.gw_simulate``).
 
     ``states`` is x_0, ..., x_T (last entry 0) unless ``truncated``, in
     which case duration and size are lower bounds.

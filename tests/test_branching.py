@@ -145,14 +145,14 @@ class TestGwSimulation:
         for _ in range(100):
             path = gw_simulate(0.9, 2, rng)
             assert path.states[0] == 2
-            assert path.extinct
+            assert not path.truncated
             assert path.states[-1] == 0
             assert path.size >= 2
 
     def test_extinction_frequency(self):
         lam, i0 = 1.4, 1
         rng = replicate_rng(11, 0)
-        ext = np.mean([gw_simulate(lam, i0, rng).extinct
+        ext = np.mean([not gw_simulate(lam, i0, rng).truncated
                        for _ in range(20000)])
         ref = extinction_prob(lam) ** i0
         assert abs(ext - ref) < 4 * math.sqrt(ref * (1 - ref) / 20000)
@@ -160,8 +160,8 @@ class TestGwSimulation:
     def test_escape_flag(self):
         path = gw_simulate(3.0, 100, replicate_rng(0, 0),
                            explosion_cap=1000)
-        assert path.escaped
-        assert not path.extinct
+        assert path.truncated
+        assert path.states[-1] > 1000
 
     def test_rejects_bad_parameters(self):
         rng = replicate_rng(0, 0)
@@ -190,7 +190,7 @@ class TestGwExtinctBy:
     def test_matches_monte_carlo(self):
         lam, i0, m = 1.0, 1, 3
         rng = replicate_rng(8, 0)
-        frac = np.mean([gw_simulate(lam, i0, rng, max_steps=m).extinct
+        frac = np.mean([not gw_simulate(lam, i0, rng, max_steps=m).truncated
                         for _ in range(20000)])
         ref = gw_extinct_by(lam, i0, m)
         assert abs(frac - ref) < 4 * math.sqrt(ref * (1 - ref) / 20000)

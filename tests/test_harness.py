@@ -58,8 +58,6 @@ class TestEstimate:
                                                             1.0, 0.0]))
         assert est.point == 0.5
         assert est.replicates == 4
-        lo, hi = est.interval()
-        assert lo < 0.5 < hi
 
 
 class TestTrajectories:
@@ -218,6 +216,25 @@ class TestScaledChain:
         # ensemble mean tracks the mean-field path at n = 2000
         assert np.max(np.abs(path.mean(axis=0) - psi)) < 0.02
 
+    @pytest.mark.parametrize("x0_count, steps, named", [
+        (-1, 3, "x0_count=-1"), (51, 3, "x0_count=51"), (5, -1, "steps=-1")])
+    def test_rejects_bad_start_or_steps(self, x0_count, steps, named,
+                                        monkeypatch):
+        built = []
+        replicate_rng = harness.replicate_rng
+
+        def recording_rng(*key):
+            built.append((key, replicate_rng(*key)))
+            return built[-1][1]
+
+        monkeypatch.setattr(harness, "replicate_rng", recording_rng)
+        params = ModelParams.from_intensity(50, 1.2)
+        with pytest.raises(ValueError, match=named):
+            harness.simulate_scaled_chain(params, x0_count, steps, 10, 4)
+        # refused before any draw: no generator has left its start
+        assert all(rng.random() == replicate_rng(*key).random()
+                   for key, rng in built)
+
 
 class TestExactCommands:
     def test_cmd_exact_writes_csv(self, tmp_path):
@@ -269,12 +286,12 @@ class TestFigure:
         curves = harness.figure_curves(40, (0.8, 1.3), 20, digits=60)
         assert set(curves) == {0.8, 1.3}
         assert len(curves[0.8]) == 20
-        assert not harness.check_figure_shape(curves, 40)
+        assert not harness.check_figure_shape(curves)
 
     def test_shape_check_flags_bad_curves(self):
         bad = {0.8: [5.0, 4.0, 3.0, 2.0, 1.0, 1.0],
                1.3: [1.0, 9.0, 1.0, 9.0, 1.0, 9.0]}
-        assert harness.check_figure_shape(bad, 40)
+        assert harness.check_figure_shape(bad)
 
     def test_i0_max_clamped(self):
         curves = harness.figure_curves(10, (1.0,), 50, digits=60)
@@ -299,6 +316,19 @@ class TestCampaign:
         assert verdicts.count(bc.HOLDS) == 318
         assert verdicts.count(bc.INCONCLUSIVE) == 23
         assert verdicts.count(bc.VIOLATED) == 0
+
+    def test_each_report_is_judged_once(self, monkeypatch):
+        calls = []
+        judge = bc.BoundReport.judge
+
+        def counted(self):
+            calls.append(self.name)
+            return judge(self)
+
+        monkeypatch.setattr(bc.BoundReport, "judge", counted)
+        reports = harness.verify_campaign(n_grid=(30,), c_grid=(0.8, 1.0),
+                                          i0_grid=(1, 2))
+        assert sorted(calls) == sorted(r.name for r in reports)
 
     def test_q_derivations_match_row_loop(self):
         n, c = 30, 1.1

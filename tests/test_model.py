@@ -23,7 +23,6 @@ from avalanche.rng import replicate_rng
 class TestModelParams:
     def test_derived_quantities(self):
         params = ModelParams(100, 0.01)
-        assert params.q == 0.99
         assert params.c == pytest.approx(1.0)
         assert params.alpha == pytest.approx(-100 * math.log(0.99))
         assert params.alpha > params.c

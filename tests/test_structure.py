@@ -2,8 +2,9 @@
 one integer row builder for the exact tier, one lockstep engine, one
 mean-field iteration per deterministic table, random generators built
 only from a replicate key, no pass-through layer left behind, no
-module reaching into a sibling's private names, and no function or
-class that neither the CLI nor the public list reaches."""
+module reaching into a sibling's private names, no function, class or
+method that neither the CLI nor the public list reaches, and no
+parameter left unread."""
 
 import ast
 import inspect
@@ -183,42 +184,114 @@ def test_no_pass_through_layers():
     assert not defined & {"harness.py:_trajectory_block",
                           "exact.py:_substitute", "meanfield.py:MapParams",
                           "branching.py:BranchingParams",
+                          "branching.py:BranchingPath",
                           "bounds.py:duration_limits_ensemble"}
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _reached():
-    """Names reached from ``cli.main`` and ``avalanche.__all__`` in a
-    by-name reference graph.  A module-level def, class or assignment
-    refers to every name and attribute written inside it, so a class
-    reaches its methods, and a name reaches whatever is bound to it in
-    any module."""
-    refers = {}
-    for tree in _trees().values():
+    """Functions, classes and methods reached from ``cli.main`` and
+    ``avalanche.__all__`` in a by-name reference graph.
+
+    A module-level def or assignment refers to every name and attribute
+    written inside it, and a name reaches whatever is bound to it in any
+    module.  A class refers only to its bases, decorators and body less
+    its methods, dunder methods excepted.  A method ``C.m`` of a reached
+    class is reached when ``m`` is read as an attribute in reached code,
+    when ``C`` is public and ``m`` is too, or when ``C`` derives from a
+    base outside the package, whose protocol calls it (as numpy calls
+    ``generate_state`` on a seed sequence).  Methods are keyed (class,
+    method); the rest by name.
+    """
+    trees = _trees().values()
+    classes = {stmt.name for tree in trees for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef)}
+    parts, outside = {}, set()
+    for tree in trees:
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                own = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+                for item in stmt.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not _dunder(item.name)):
+                        parts[stmt.name, item.name] = [item]
+                    else:
+                        own.append(item)
+                if any(ast.unparse(base) not in classes
+                       for base in stmt.bases):
+                    outside.add(stmt.name)
                 bound = [stmt.name]
+            elif isinstance(stmt, ast.FunctionDef):
+                own, bound = [stmt], [stmt.name]
             elif isinstance(stmt, ast.Assign):
+                own = [stmt]
                 bound = [target.id for target in stmt.targets
                          if isinstance(target, ast.Name)]
             else:
                 continue
-            used = {node.id if isinstance(node, ast.Name) else node.attr
-                    for node in ast.walk(stmt)
-                    if isinstance(node, (ast.Name, ast.Attribute))}
             for name in bound:
-                refers.setdefault(name, set()).update(used)
-    reached, todo = set(), ["main", *avalanche.__all__]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(refers.get(name, ()))
-    return reached
+                parts.setdefault(name, []).extend(own)
+    public = set(avalanche.__all__)
+    reached, names, attrs = set(), {"main", *public}, set()
+
+    def reachable(key):
+        if isinstance(key, str):
+            return key in names
+        cls, method = key
+        return cls in reached and (
+            method in attrs or cls in outside
+            or cls in public and not method.startswith("_"))
+
+    while True:
+        new = {key for key in parts if key not in reached and reachable(key)}
+        if not new:
+            return reached
+        reached |= new
+        for node in (node for key in new for part in parts[key]
+                     for node in ast.walk(part)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                attrs.add(node.attr)
+
+
+def _unread_parameters(tree):
+    """Parameters, but self and cls, that their function never reads."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Load)}
+        found += [f"{getattr(node, 'name', 'lambda')}({arg.arg})"
+                  for arg in (*args.posonlyargs, *args.args,
+                              *args.kwonlyargs, args.vararg, args.kwarg)
+                  if arg and arg.arg not in read | {"self", "cls"}]
+    return found
 
 
 def test_every_function_and_class_has_a_caller_or_is_public():
+    # down to methods, and every parameter is read
     reached = _reached()
-    assert not [f"{name}:{node.name}" for name, tree in _trees().items()
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name not in reached]
+    found = []
+    for name, tree in _trees().items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in reached:
+                found.append(f"{name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{name}:{node.name}.{item.name}"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not _dunder(item.name)
+                          and (node.name, item.name) not in reached]
+        found += [f"{name}:{unread}" for unread in _unread_parameters(tree)]
+    assert not found
