@@ -1,7 +1,7 @@
 """Simulate avalanche trajectories and compare against exact expectations.
 
 Runs the count-level chain at a few intensities, prints Monte Carlo
-summaries with confidence intervals, and checks them against the
+summaries with standard errors, and checks them against the
 arbitrary-precision absorbing-chain solves.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
                              expected_duration, expected_size)
-from avalanche.harness import EstimateWithCI, run_trajectories
+from avalanche.harness import Estimate, run_trajectories
 from avalanche.model import ModelParams
 
 N = 80
@@ -23,8 +23,8 @@ def main():
         params = ModelParams.from_intensity(N, c)
         stats = run_trajectories(params, I0, REPLICATES, SEED)
         ok = stats[:, 3] == 0
-        duration = EstimateWithCI.from_samples(stats[ok, 0])
-        size = EstimateWithCI.from_samples(stats[ok, 1])
+        duration = Estimate.from_samples(stats[ok, 0])
+        size = Estimate.from_samples(stats[ok, 1])
 
         system = SubstochasticSystem(params, PrecisionConfig(60))
         et = float(expected_duration(system)[I0 - 1])

@@ -11,9 +11,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
+from .meanfield import brentq
 from .model import DEFAULT_MAX_STEPS, Trajectory
 
 FIXED_POINT_TOL = 1e-12
@@ -75,6 +74,7 @@ def borel_tanner_pmf(lam: float, i0: int, j) -> np.ndarray | float:
         raise ValueError(f"offspring mean must be positive, got {lam}")
     if i0 < 1:
         raise ValueError(f"initial population must be >= 1, got {i0}")
+    from scipy.special import gammaln
     jj = np.asarray(j, dtype=float)
     scalar = jj.ndim == 0
     jj = np.atleast_1d(jj)

@@ -18,7 +18,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .model import (DEFAULT_MAX_STEPS, ModelParams, excite_probability,
                     kernel_row)
@@ -140,6 +139,7 @@ def _poisson_pmf_truncated(mean: float) -> np.ndarray:
     search window below holds it for any tolerance >= 1e-70."""
     if mean == 0.0:
         return np.array([1.0])
+    from scipy.special import gammaln, pdtrc, xlogy
     k = np.arange(int(mean + 20 * math.sqrt(mean)) + 40)
     hi = int(np.argmax(pdtrc(k, mean) <= 1e-12)) + 1
     k = np.arange(hi + 1)

@@ -127,7 +127,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class EstimateWithCI:
+class Estimate:
     """Monte Carlo point estimate with its standard error."""
 
     point: float
@@ -135,7 +135,7 @@ class EstimateWithCI:
     replicates: int
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "EstimateWithCI | None":
+    def from_samples(cls, samples: np.ndarray) -> "Estimate | None":
         """Mean and standard error of the sample; None if it is empty."""
         x = np.asarray(samples, dtype=float)
         k = len(x)
@@ -185,7 +185,7 @@ def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
 
 def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
                            replicates: int,
-                           master_seed: int) -> EstimateWithCI:
+                           master_seed: int) -> Estimate:
     """Monte Carlo estimate of P(hit [j_level, n] before 0 | X_0 = i0).
 
     One ``run_occupation`` on the stream keyed (master_seed, 0): the
@@ -195,10 +195,13 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
     surviving paths settle into a quasi-equilibrium and would otherwise
     run for an astronomical number of steps.  Raises if any replicate is
     still undecided at the cap of 1000 steps (hovering strictly between
-    0 and the level).  A level outside [1, n] is refused before any draw.
+    0 and the level).  A level outside [1, n] or fewer than one replicate
+    is refused before any generator is built.
     """
     if not 1 <= j_level <= params.n:
         raise ValueError(f"level must lie in [1, {params.n}], got {j_level}")
+    if replicates < 1:
+        raise ValueError(f"need replicates >= 1, got replicates={replicates}")
     max_steps = 1000
     counts = run_occupation(params, i0, replicates,
                             replicate_rng(master_seed, 0), max_steps, j_level)
@@ -206,7 +209,7 @@ def first_passage_fraction(params: ModelParams, i0: int, j_level: int,
     if undecided:
         raise ArithmeticError(
             f"{undecided} replicates undecided after {max_steps} steps")
-    return EstimateWithCI.from_samples(np.arange(replicates) < counts[-1])
+    return Estimate.from_samples(np.arange(replicates) < counts[-1])
 
 
 def simulate_scaled_chain(params: ModelParams, x0_count: int, steps: int,
@@ -215,14 +218,17 @@ def simulate_scaled_chain(params: ModelParams, x0_count: int, steps: int,
 
     All replicates advance in lockstep from one auxiliary stream keyed
     to the experiment; suited to the distribution-level checks where
-    only the ensemble law matters.  A start outside [0, n] or a negative
-    step count is refused before any draw.
+    only the ensemble law matters.  A start outside [0, n], a negative
+    step count or fewer than one replicate is refused before any
+    generator is built.
     """
     if not 0 <= x0_count <= params.n:
         raise ValueError(f"need 0 <= x0_count <= n={params.n}, "
                          f"got x0_count={x0_count}")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got steps={steps}")
+    if replicates < 1:
+        raise ValueError(f"need replicates >= 1, got replicates={replicates}")
     rng = replicate_rng(master_seed, 0)
     x = np.full(replicates, x0_count, dtype=np.int64)
     path = np.empty((replicates, steps + 1))
@@ -249,7 +255,7 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
                              config.max_steps)
     ok = stats[:, 3] == 0
     names = ("duration", "size", "max")
-    summary = {name: EstimateWithCI.from_samples(stats[ok, k])
+    summary = {name: Estimate.from_samples(stats[ok, k])
                for k, name in enumerate(names)}
     summary["truncated"] = int((~ok).sum())
     if config.out:
@@ -453,7 +459,7 @@ def cmd_deterministic(config: ExperimentConfig) -> dict:
     path = mf.iterate_mean_field(lam, psi0)
     cols = [a.tolist() for a in (path.psi, path.phi, path.branching_factor,
                                  mf.innovation_variance(lam, path.psi))]
-    rows = list(map(list, zip(range(len(path.psi)), *cols)))
+    rows = list(zip(range(len(path.psi)), *cols))
     out = {"limit": mf.mean_field_limit(lam, psi0), "rows": rows}
     if lam > 1.0:
         si = mf.stability_interval(lam)
@@ -496,9 +502,9 @@ def cmd_couple(config: ExperimentConfig) -> dict:
         "coupling_c": coupling_c,
         "dominance_violations": viol,
         "truncated": config.replicates - len(sx),
-        "size_x": EstimateWithCI.from_samples(np.array(sx)),
-        "size_z": EstimateWithCI.from_samples(np.array(sz)),
-        "divergence_rate": EstimateWithCI.from_samples(
+        "size_x": Estimate.from_samples(np.array(sx)),
+        "size_z": Estimate.from_samples(np.array(sz)),
+        "divergence_rate": Estimate.from_samples(
             np.arange(probes) < diverged),
         "divergence_tv": step_divergence_tv(params, i),
         "divergence_envelope": step_divergence_bound(c, i, params.n),

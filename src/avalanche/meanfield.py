@@ -13,7 +13,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
 FIXED_POINT_TOL = 1e-12
 _ITER_TOL = 1e-14
@@ -21,6 +20,73 @@ _ITER_CAP = 10 ** 5
 # once zeta rounds to 1/2 (lam of about 71.7 on) b = 3/4 and 1 - rho =
 # exp(-lam), so gamma = exp(2*lam)/8: it fits in float64 up to here
 MAX_STABILITY_LAM = 0.5 * (math.log(sys.float_info.max) + math.log(8.0))
+_BRENT_MAXITER = 100
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+
+
+def brentq(f, a: float, b: float, xtol: float,
+           rtol: float = _BRENT_RTOL) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    A line-for-line port of SciPy's ``brentq`` (optimize/Zeros/brentq.c)
+    on Python floats: the same steps in the same order, so it returns
+    the same float.  The iterate xcur is the best point so far, xblk
+    the other end of the bracket and xpre the previous iterate; it stops
+    once half the bracket is below delta = (xtol + rtol*|xcur|)/2.
+    Raises ValueError on a NaN value or a bracket without a sign change,
+    RuntimeError after 100 iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):   # signs, as C: f(a)*f(b) may underflow
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf   # C gets inf or NaN, and so bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 def g(alpha: float, x: float):

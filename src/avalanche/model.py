@@ -12,7 +12,6 @@ from fractions import Fraction
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,7 @@ def kernel_rows(params: ModelParams, states, width: int | None = None
     """Pmf rows P(X_{k+1} = j | X_k = i) over j = 0..width-1 (by default
     all of 0..n), one per state i: the binomial log-pmf on one (state, j)
     grid, cut to 0 below -745."""
+    from scipy.special import gammaln
     n = params.n
     states = np.asarray(states, dtype=np.int64)
     s = np.array([excite_probability(params, i) for i in states.tolist()])

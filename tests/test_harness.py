@@ -54,7 +54,7 @@ class TestExperimentConfig:
 
 class TestEstimate:
     def test_from_samples(self):
-        est = harness.EstimateWithCI.from_samples(np.array([0.0, 1.0,
+        est = harness.Estimate.from_samples(np.array([0.0, 1.0,
                                                             1.0, 0.0]))
         assert est.point == 0.5
         assert est.replicates == 4
@@ -136,7 +136,7 @@ class TestTrajectories:
         assert not stats[:, 3].any()
         for column, ref in ((0, expected_duration_float(params)[0]),
                             (1, expected_size_float(params)[0])):
-            est = harness.EstimateWithCI.from_samples(stats[:, column])
+            est = harness.Estimate.from_samples(stats[:, column])
             assert abs(est.point - ref) < 5 * est.stderr
 
     def test_size_pmf_normalized(self):
@@ -148,7 +148,7 @@ class TestTrajectories:
     def test_survival_and_reach_fractions(self):
         params = ModelParams.from_intensity(60, 1.0)
         stats = harness.run_trajectories(params, 1, 2000, 5, max_steps=3)
-        surv = harness.EstimateWithCI.from_samples(stats[:, 0] > 2)
+        surv = harness.Estimate.from_samples(stats[:, 0] > 2)
         ref = q_powers(build_q_float(params), np.ones(59), 2)[2][0]
         assert abs(surv.point - ref) < 4 * surv.stderr + 1e-9
         reach = harness.first_passage_fraction(params, 1, 5, 2000, 5)
@@ -216,10 +216,9 @@ class TestScaledChain:
         # ensemble mean tracks the mean-field path at n = 2000
         assert np.max(np.abs(path.mean(axis=0) - psi)) < 0.02
 
-    @pytest.mark.parametrize("x0_count, steps, named", [
-        (-1, 3, "x0_count=-1"), (51, 3, "x0_count=51"), (5, -1, "steps=-1")])
-    def test_rejects_bad_start_or_steps(self, x0_count, steps, named,
-                                        monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (key, generator) pairs harness builds, in order."""
         built = []
         replicate_rng = harness.replicate_rng
 
@@ -228,12 +227,27 @@ class TestScaledChain:
             return built[-1][1]
 
         monkeypatch.setattr(harness, "replicate_rng", recording_rng)
+        return built
+
+    @pytest.mark.parametrize("x0_count, steps, named", [
+        (-1, 3, "x0_count=-1"), (51, 3, "x0_count=51"), (5, -1, "steps=-1")])
+    def test_rejects_bad_start_or_steps(self, x0_count, steps, named, built):
         params = ModelParams.from_intensity(50, 1.2)
         with pytest.raises(ValueError, match=named):
             harness.simulate_scaled_chain(params, x0_count, steps, 10, 4)
         # refused before any draw: no generator has left its start
         assert all(rng.random() == replicate_rng(*key).random()
                    for key, rng in built)
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    @pytest.mark.parametrize("sampler, args", [
+        ("simulate_scaled_chain", (5, 3)), ("first_passage_fraction", (2, 10))])
+    def test_rejects_replicates_below_one(self, sampler, args, replicates,
+                                          built):
+        params = ModelParams.from_intensity(50, 1.2)
+        with pytest.raises(ValueError, match=f"replicates={replicates}$"):
+            getattr(harness, sampler)(params, *args, replicates, 4)
+        assert not built
 
 
 class TestExactCommands:
@@ -789,10 +803,20 @@ def test_readme_cli_examples(tmp_path):
         assert getattr(config, key) == harness.SETTINGS[key][1](text)
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = ("import sys, avalanche.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+def test_cli_runs_without_scipy():
+    # a fresh interpreter: the import, a table whose stability interval
+    # solves with brentq, and a simulation load no scipy module
+    code = """
+import sys
+from avalanche.cli import main
+main(["deterministic", "--lambda", "1.8", "--n", "100", "--i0", "5"])
+main(["simulate", "--n", "100", "--c", "0.8", "--reps", "50", "--seed", "1"])
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
     src = str(Path(avalanche.__file__).parents[1])
-    run = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.returncode == 0
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert '"stability"' in lines[0] and '"duration"' in lines[1]
+    assert lines[-1] == "[]"

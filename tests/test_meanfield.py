@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from avalanche import meanfield as mf
 from avalanche.rng import replicate_rng
@@ -232,3 +233,72 @@ class TestDecayParameters:
         # more steps can only lower the guarantee
         prod2, _ = mf.concentration_envelope(5.0, 0.1, 1000, 20)
         assert prod2 <= prod
+
+
+class TestBrentPort:
+    """``mf.brentq`` against ``scipy.optimize.brentq``: the same float
+    on every bracket the package solves, the same exception elsewhere."""
+
+    def test_every_call_site_bracket_matches_scipy(self, monkeypatch):
+        from avalanche import branching
+        port, solves = mf.brentq, []
+
+        def both(f, a, b, **tol):
+            ours = port(f, a, b, **tol)
+            theirs = scipy_brentq(f, a, b, **tol)
+            solves.append((ours, theirs, a, b))
+            return ours
+
+        monkeypatch.setattr(mf, "brentq", both)
+        monkeypatch.setattr(branching, "brentq", both)
+        # zeta, nu and x_star
+        for lam in np.geomspace(1.0 + 1e-6, mf.MAX_STABILITY_LAM, 5000):
+            mf.stability_interval(float(lam))
+        for mu in np.geomspace(1e-3, 700.0, 5000):
+            if mu != 1.0:
+                branching.extinction_prob.__wrapped__(float(mu))
+        chi = mf.argmax_nu(1.0)[1]
+        for delta in np.linspace(0.0, chi, 502)[1:-1]:
+            mf.decay_rho(1.0, 0.3, float(delta))
+        for alpha in np.geomspace(1e-3, 1.0, 500):
+            mf.argmax_nu(float(alpha))
+        mf.transitional_alpha()
+        assert len(solves) > 20_000
+        differ = [s for s in solves if s[0] != s[1]]
+        assert not differ, differ[:5]
+        assert all(type(ours) is float for ours, *_ in solves)
+
+    @pytest.mark.parametrize("f, a, b, tol", [
+        # a NaN inside the bracket, met by the first interpolated step
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, {}),
+        # no sign change, also where the product f(a)*f(b) underflows
+        (lambda x: x * x + 1.0, 0.0, 1.0, {}),
+        (lambda x: 1e-200, 0.0, 1.0, {}),
+        # a step at 1e-250 from a bracket of 2e300: bisection needs
+        # about 2000 halvings, far past the 100 iterations allowed
+        (lambda x: -1.0 if x < 1e-250 else 2.0, -1e300, 1e300,
+         {"xtol": 1e-300}),
+    ], ids=["nan", "same-sign", "same-sign-underflow", "no-convergence"])
+    def test_failures_raise_as_scipy(self, f, a, b, tol):
+        tol = {"xtol": 2e-12, **tol}
+        with pytest.raises((ValueError, RuntimeError)) as theirs:
+            scipy_brentq(f, a, b, **tol)
+        with pytest.raises(theirs.type):
+            mf.brentq(f, a, b, **tol)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-110, 1e-160])
+    def test_piecewise_constant_matches_scipy(self, scale):
+        # a staircase repeats each value along a step, where both take
+        # the bisection; at 1e-110 and below, steps across the root make
+        # the extrapolation's denominator underflow to 0, where C divides
+        # by zero (and bisects) and Python raises ZeroDivisionError
+        def f(x):
+            return scale * (math.floor(7.0 * x) - 2.5)
+        for a, b in [(0.0, 1.0), (0.01, 0.99), (-0.3, 0.8), (0.2, 3.0)]:
+            for xtol in (1e-300, 2e-12, 1e-3):
+                assert (mf.brentq(f, a, b, xtol=xtol)
+                        == scipy_brentq(f, a, b, xtol=xtol))
+
+    def test_zero_at_an_end_is_returned(self):
+        assert mf.brentq(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-12) == 0.25
+        assert mf.brentq(lambda x: x - 1.0, 0.25, 1.0, xtol=1e-12) == 1.0

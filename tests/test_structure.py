@@ -1,7 +1,8 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one integer row builder for the exact tier, one lockstep engine, one
 mean-field iteration per deterministic table, random generators built
-only from a replicate key, no pass-through layer left behind, no
+only from a replicate key, scipy imported only inside the functions that
+use it, no pass-through layer left behind, no
 module reaching into a sibling's private names, no function, class or
 method that neither the CLI nor the public list reaches, and no
 parameter left unread."""
@@ -144,6 +145,27 @@ def test_deterministic_table_iterates_the_map_once():
     assert _calls(command, "mf", "iterate_mean_field") == 1
     assert source.count("iterate_mean_field") == 1   # nor handed to a helper
     assert "FluctuationModel" not in source
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # importing the package loads no scipy: each use imports it in place
+    found = []
+    for name, tree in _trees().items():
+        nodes = [tree]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+                nodes += [child for child in ast.iter_child_nodes(node)
+                          if not isinstance(child, (ast.FunctionDef,
+                                                    ast.Lambda))]
+            found += [f"{name}: {module}" for module in modules
+                      if module.partition(".")[0] == "scipy"]
+    assert not found
 
 
 def test_no_private_name_from_a_sibling():
