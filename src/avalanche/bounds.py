@@ -190,15 +190,6 @@ def reach_bounds_single(params, d: float, eps: float,
             ruin_ratio(extinction_prob(c), i, n * eps))
 
 
-def _best_level_subcritical(c: float, i0: int, m: int, n: int) -> int:
-    """Level J minimizing the subcritical coupling-error term."""
-    j = np.arange(i0 + 1, n)
-    if not j.size:
-        raise ValueError(f"no level J with i0 < J < n for i0={i0}, n={n}")
-    err = 1.5 * c * m * j * j / n + ruin_ratio(extinction_prob(c), i0, j)
-    return int(j[np.argmin(err)])
-
-
 def duration_bounds_single(params, i0: int, m: int,
                            level: float | None = None,
                            theta: float | None = None,
@@ -236,13 +227,15 @@ def duration_bounds_single(params, i0: int, m: int,
                            {**inputs, "x": x}, lower, upper + err,
                            partial=partial, note=note)
     if c < 1.0:
-        j = int(level) if level is not None else _best_level_subcritical(
-            c, i0, m, n)
-        if not i0 < j < n:
-            raise ValueError(f"need i0 < J < n, got J={j}")
+        j = np.arange(i0 + 1, n) if level is None else np.array([int(level)])
+        if not (j.size and i0 < j[0] and j[-1] < n):
+            raise ValueError(f"need a level i0 < J < n, got i0={i0}, n={n}"
+                             + ("" if level is None else f", J={j[0]}"))
         err = 1.5 * c * m * j * j / n + ruin_ratio(extinction_prob(c), i0, j)
+        best = int(np.argmin(err))
         return BoundReport("duration_single_subcritical",
-                           {**inputs, "J": j}, lower, upper + err)
+                           {**inputs, "J": int(j[best])}, lower,
+                           upper + err[best])
     err = 1.5 * (3.0 * m * i0 ** 2 / n) ** (1.0 / 3.0)
     return BoundReport("duration_single_critical", inputs, lower, upper + err)
 

@@ -37,8 +37,8 @@ COMMANDS = {
     "deterministic": ("mean-field tables; CSV columns k,psi,phi,"
                       "branching_factor,innovation_variance",
                       ("n", "i0", "lam", "out")),
-    "couple": ("monotone and maximal coupling diagnostics (JSON to "
-               "stdout)",
+    "couple": ("monotone coupling diagnostics and the exact one-step "
+               "divergence probability (JSON to stdout)",
                ("n", "p", "c", "i0", "replicates", "master_seed")),
 }
 
@@ -122,37 +122,43 @@ def main(argv=None) -> int:
                              f"[{low}, {config.n - low}]")
     except (OSError, ValueError, configparser.Error) as exc:
         parser.error(f"{args.command}: {exc}")
-    if args.command == "simulate":
-        print(json.dumps(harness.cmd_simulate(config),
-                         default=dataclasses.asdict))
-    elif args.command == "exact":
-        result = harness.cmd_exact(config)
-        et, es = result["expected_duration"], result["expected_size"]
-        show = min(len(et), 10)
-        for i in range(show):
-            print(f"{i + 1},{et[i]},{es[i]}")
-        if not config.out and len(et) > show:
-            print(f"... {len(et) - show} more rows (use --out for the "
-                  "full table)", file=sys.stderr)
-    elif args.command == "figure":
-        try:
-            curves = harness.cmd_figure(config)
-        except AssertionError as exc:
-            print(f"figure shape check failed: {exc}", file=sys.stderr)
-            return 1
-        for c, vals in curves.items():
-            print(f"c={c}: E(T|1)={vals[0]:.6g} "
-                  f"E(T|{len(vals)})={vals[-1]:.6g}")
-    elif args.command == "verify":
-        bundle = harness.cmd_verify(config)
-        print(json.dumps(bundle["counts"]))
-        return 1 if bundle["counts"]["violated"] else 0
-    elif args.command == "deterministic":
-        result = harness.cmd_deterministic(config)
-        print(json.dumps({k: v for k, v in result.items() if k != "rows"}))
-    elif args.command == "couple":
-        print(json.dumps(harness.cmd_couple(config),
-                         default=dataclasses.asdict))
+    try:
+        if args.command == "simulate":
+            print(json.dumps(harness.cmd_simulate(config),
+                             default=dataclasses.asdict))
+        elif args.command == "exact":
+            result = harness.cmd_exact(config)
+            et, es = result["expected_duration"], result["expected_size"]
+            show = min(len(et), 10)
+            for i in range(show):
+                print(f"{i + 1},{et[i]},{es[i]}")
+            if not config.out and len(et) > show:
+                print(f"... {len(et) - show} more rows (use --out for the "
+                      "full table)", file=sys.stderr)
+        elif args.command == "figure":
+            try:
+                curves = harness.cmd_figure(config)
+            except AssertionError as exc:
+                print(f"figure shape check failed: {exc}", file=sys.stderr)
+                return 1
+            for c, vals in curves.items():
+                print(f"c={c}: E(T|1)={vals[0]:.6g} "
+                      f"E(T|{len(vals)})={vals[-1]:.6g}")
+        elif args.command == "verify":
+            bundle = harness.cmd_verify(config)
+            print(json.dumps(bundle["counts"]))
+            return 1 if bundle["counts"]["violated"] else 0
+        elif args.command == "deterministic":
+            result = harness.cmd_deterministic(config)
+            print(json.dumps({k: v for k, v in result.items() if k != "rows"}))
+        elif args.command == "couple":
+            print(json.dumps(harness.cmd_couple(config),
+                             default=dataclasses.asdict))
+    except ArithmeticError as exc:   # a numeric refusal; subclasses are bugs
+        if type(exc) is not ArithmeticError:
+            raise
+        print(f"avalanche: {args.command}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -155,7 +155,8 @@ class SubstochasticSystem:
                     v = a[j] - mp.fdot(out[:r], (u[j] for u in lu))
                     out.append(v / lu[j][j] if j < r else v)
                 if out[r] <= 0:
-                    raise ArithmeticError(f"pivot {r + 1} is not positive")
+                    raise ArithmeticError(f"pivot {r + 1} is not positive at "
+                                          f"{digits} digits")
                 lu.append(out)
             # row r summed from each column j > r on, tail included:
             # exact sums rounded once, as mp.fsum rounds them

@@ -28,8 +28,7 @@ from . import meanfield as mf
 from .branching import (agresti_duration_bounds, gw_extinct_by,
                         lindvall_max_bound)
 from .coupling import (check_coupling_constant, simulate_coupled,
-                       step_coupled_maximal, step_divergence_bound,
-                       step_divergence_tv)
+                       step_divergence_bound, step_divergence_tv)
 from .exact import (PrecisionConfig, SubstochasticSystem, build_q_float,
                     expected_duration, expected_size, float_expectation,
                     q_powers, reach_float)
@@ -160,8 +159,13 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
     full block's rows are therefore the same for any worker count and
     any total number of replicates; a final partial block is a smaller
     run of its own on the same stream.  A pool starts at most one
-    process per block, and none for a single block.
+    process per block, and none for a single block.  Fewer than one
+    replicate or worker is refused before any stream is built.
     """
+    if replicates < 1:
+        raise ValueError(f"need replicates >= 1, got replicates={replicates}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got workers={workers}")
     sizes = [min(BLOCK_SIZE, replicates - lo)
              for lo in range(0, replicates, BLOCK_SIZE)]
     rngs = (replicate_rng(master_seed, b) for b in range(len(sizes)))
@@ -172,12 +176,14 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             blocks = list(pool.map(block, sizes, rngs))
-    return np.concatenate(blocks or [np.empty((0, 4), dtype=np.int64)])
+    return np.concatenate(blocks)
 
 
 def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
     """Empirical pmf of the total size over 0..j_max (non-truncated rows)."""
     ok = stats[:, 3] == 0
+    if not ok.any():
+        raise ValueError("no finished replicate: every row is truncated")
     sizes = stats[ok, 1]
     return np.bincount(np.clip(sizes, 0, j_max), minlength=j_max + 1) \
         / ok.sum()
@@ -472,7 +478,7 @@ def cmd_deterministic(config: ExperimentConfig) -> dict:
 
 
 def cmd_couple(config: ExperimentConfig) -> dict:
-    """Monotone-coupling campaign: dominance, sizes, divergence rates.
+    """Monotone-coupling campaign: dominance, sizes, exact step divergence.
 
     ``size_x`` and ``size_z`` average only the paths that ended before
     the cap on Z (``truncated`` counts the rest), so above criticality
@@ -494,18 +500,12 @@ def cmd_couple(config: ExperimentConfig) -> dict:
         if not path.truncated:
             sx.append(int(path.x_seq.sum()))
             sz.append(int(path.z_seq.sum()))
-    rng = replicate_rng(config.master_seed, config.replicates + 1)
-    probes = min(config.replicates, 10 ** 5)
-    diverged = sum(step_coupled_maximal(params, i, rng)[2]
-                   for _ in range(probes))
     return {
         "coupling_c": coupling_c,
         "dominance_violations": viol,
         "truncated": config.replicates - len(sx),
         "size_x": Estimate.from_samples(np.array(sx)),
         "size_z": Estimate.from_samples(np.array(sz)),
-        "divergence_rate": Estimate.from_samples(
-            np.arange(probes) < diverged),
         "divergence_tv": step_divergence_tv(params, i),
         "divergence_envelope": step_divergence_bound(c, i, params.n),
     }

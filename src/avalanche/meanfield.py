@@ -219,7 +219,6 @@ def innovation_variance(lam: float, x):
 class FluctuationModel:
     """Slopes and innovation variances of the AR(1) limit along psi."""
 
-    lam: float
     psi: np.ndarray
     slopes: np.ndarray
     variances: np.ndarray
@@ -228,7 +227,7 @@ class FluctuationModel:
     def from_initial(cls, lam: float, psi0: float,
                      steps: int) -> "FluctuationModel":
         psi = iterate_mean_field(lam, psi0, steps=steps).psi
-        return cls(lam, psi, np.asarray(dg(lam, psi)),
+        return cls(psi, np.asarray(dg(lam, psi)),
                    np.asarray(innovation_variance(lam, psi)))
 
 
@@ -268,7 +267,6 @@ class StabilityInterval:
     Hoeffding exponent (1 - b)/(2*(1 - rho)**2).
     """
 
-    lam: float
     a: float
     b: float
     eps: float
@@ -309,7 +307,7 @@ def stability_interval(lam: float) -> StabilityInterval:
     if not 0.0 < gap < 1.0:
         raise ArithmeticError(f"contraction rate {1.0 - gap} outside (0,1)")
     gamma = (1.0 - b) / 2.0 / gap / gap   # gap**2 would underflow first
-    return StabilityInterval(lam, a, b, eps, 1.0 - gap, gamma)
+    return StabilityInterval(a, b, eps, 1.0 - gap, gamma)
 
 
 def decay_rho(lam: float, psi0: float, delta: float) -> float:

@@ -3,7 +3,7 @@
 Streams are Philox generators keyed by ``(master_seed, index)``.
 ``harness.run_trajectories`` keys one stream per fixed-size block of
 replicates, ``(master_seed, block_index)``; the coupling campaign keys
-one per path and one more for its probes; the other ensemble runs use
+one per path, ``(master_seed, path_index)``; the other ensemble runs use
 index 0.  Work is handed to workers in whole streams, so estimates
 are bit-identical no matter how it is scheduled.  A stream is its key
 and nothing else: Philox reads the key from a seed sequence that holds

@@ -257,6 +257,14 @@ class TestDurationBounds:
                 cdf = 1.0 - surv[m][i0 - 1]  # P(T <= m | X_0 = i0)
                 assert rep.lower - 1e-9 <= cdf <= rep.upper + 1e-9
 
+    @pytest.mark.parametrize("i0, level", [
+        (2, 2.0), (2, 100.0), (2, 1e30), (99, None)])
+    def test_subcritical_refuses_a_level_outside_i0_to_n(self, i0, level):
+        # i0 = n - 1 leaves no candidate level to search
+        params = ModelParams.from_intensity(100, 0.5)
+        with pytest.raises(ValueError, match="i0 < J < n"):
+            bc.duration_bounds_single(params, i0, 3, level=level)
+
     def test_subcritical_level_is_the_loop_minimizer(self):
         # reference: the error term over every J in a Python loop, with a
         # ratio whose denominator overflows counted as 0

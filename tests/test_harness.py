@@ -60,6 +60,20 @@ class TestEstimate:
         assert est.replicates == 4
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The (key, generator) pairs harness builds, in order."""
+    built = []
+    replicate_rng = harness.replicate_rng
+
+    def recording_rng(*key):
+        built.append((key, replicate_rng(*key)))
+        return built[-1][1]
+
+    monkeypatch.setattr(harness, "replicate_rng", recording_rng)
+    return built
+
+
 class TestTrajectories:
     def test_worker_count_does_not_change_results(self):
         params = ModelParams.from_intensity(50, 1.0)
@@ -119,6 +133,17 @@ class TestTrajectories:
         assert stats.dtype == np.int64
         assert hashlib.sha256(stats.tobytes()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("replicates, workers, named", [
+        (0, 1, "replicates=0"), (-3, 1, "replicates=-3"),
+        (10, 0, "workers=0"), (10, -2, "workers=-2")])
+    def test_rejects_replicates_or_workers_below_one(
+            self, replicates, workers, named, built):
+        params = ModelParams.from_intensity(50, 1.0)
+        with pytest.raises(ValueError, match=f"{named}$"):
+            harness.run_trajectories(params, 2, replicates, 77,
+                                     workers=workers)
+        assert not built
+
     def test_cap_truncates_every_row(self):
         params = ModelParams.from_intensity(100, 5.0)
         stats = harness.run_trajectories(params, 50, 200, 4, max_steps=3)
@@ -144,6 +169,12 @@ class TestTrajectories:
         stats = harness.run_trajectories(params, 1, 500, 3)
         pmf = harness.mc_size_pmf(stats, 30)
         assert pmf.sum() == pytest.approx(1.0)
+
+    def test_size_pmf_refuses_rows_all_truncated(self):
+        params = ModelParams.from_intensity(100, 5.0)
+        stats = harness.run_trajectories(params, 50, 20, 4, max_steps=3)
+        with pytest.raises(ValueError, match="no finished replicate"):
+            harness.mc_size_pmf(stats, 30)
 
     def test_survival_and_reach_fractions(self):
         params = ModelParams.from_intensity(60, 1.0)
@@ -215,19 +246,6 @@ class TestScaledChain:
         psi = mf.iterate_mean_field(params.alpha, 0.1, steps=6).psi
         # ensemble mean tracks the mean-field path at n = 2000
         assert np.max(np.abs(path.mean(axis=0) - psi)) < 0.02
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The (key, generator) pairs harness builds, in order."""
-        built = []
-        replicate_rng = harness.replicate_rng
-
-        def recording_rng(*key):
-            built.append((key, replicate_rng(*key)))
-            return built[-1][1]
-
-        monkeypatch.setattr(harness, "replicate_rng", recording_rng)
-        return built
 
     @pytest.mark.parametrize("x0_count, steps, named", [
         (-1, 3, "x0_count=-1"), (51, 3, "x0_count=51"), (5, -1, "steps=-1")])
@@ -436,8 +454,8 @@ class TestDeterministicAndCouple:
         assert out["dominance_violations"] == 0
         assert out["size_z"].point >= out["size_x"].point
         assert out["divergence_tv"] <= out["divergence_envelope"] + 1e-12
-        assert abs(out["divergence_rate"].point - out["divergence_tv"]) \
-            < 5 * out["divergence_rate"].stderr + 1e-3
+        # the exact TV is reported once, with no sampled re-estimate
+        assert "divergence_rate" not in out
         assert out["coupling_c"] == 0.9
 
     def test_cmd_couple_sizes_skip_truncated_paths(self):
@@ -773,6 +791,41 @@ class TestCli:
                   else " is a directory")
         assert f"{argv[0]}: --out {out}{reason}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, reason", [
+        ("exact --n 100 --c 99", "pivot 50 is not positive at 50 digits"),
+        ("exact --n 100 --c 8", "pivot 85 is not positive at 50 digits"),
+        ("exact --n 40 --c 16", "pivot 35 is not positive at 50 digits"),
+        ("figure --n 40", "pivot 35 is not positive at 50 digits"),
+        ("exact --n 30 --c 14", "residual above tolerance even after "
+         "raising precision to 100 digits")],
+        ids=["c99", "c8", "c16", "figure", "residual"])
+    def test_exact_tier_refusal_is_one_line(self, argv, reason, tmp_path):
+        # a fresh interpreter, so an escaping exception would show its
+        # traceback on stderr
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment]\nc_list = 0.9,1.3,16\n")
+        argv = [*argv.split(), "--digits", "50"]
+        if argv[0] == "figure":
+            argv += ["--config", str(cfg)]
+        src = str(Path(avalanche.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "avalanche.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1
+        assert run.stdout == ""
+        [line] = run.stderr.splitlines()
+        assert line.startswith(f"avalanche: {argv[0]}: {reason}")
+
+    def test_arithmetic_error_subclasses_still_raise(self, monkeypatch):
+        # ZeroDivisionError and OverflowError signal bugs, not refusals
+        def broken(config):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(harness, "cmd_exact", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["exact", "--n", "20", "--c", "0.5", "--digits", "50"])
 
     def test_figure_shape_failure_exits_1(self, tmp_path, capsys):
         out = tmp_path / "fig.csv"

@@ -5,7 +5,7 @@ only from a replicate key, scipy imported only inside the functions that
 use it, no pass-through layer left behind, no
 module reaching into a sibling's private names, no function, class or
 method that neither the CLI nor the public list reaches, and no
-parameter left unread."""
+parameter or dataclass field left unread."""
 
 import ast
 import inspect
@@ -299,8 +299,41 @@ def _unread_parameters(tree):
     return found
 
 
+def _unread_fields(trees):
+    """Fields (class.field) of the @dataclass classes that no attribute
+    load reads.  ``self.f`` reads a field of its own class; ``x.f`` one
+    of the dataclass that parameters named x are annotated with, if
+    any, else of every dataclass."""
+    fields = {(node.name, item.target.id)
+              for tree in trees for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and any(ast.unparse(d).startswith("dataclass")
+                      for d in node.decorator_list)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)}
+    classes = {cls for cls, _ in fields}
+    typed = {}   # parameter name -> the dataclasses it is annotated with
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            kind = ast.unparse(node.annotation).strip("'\"").rpartition(
+                ".")[2]
+            if kind in classes:
+                typed.setdefault(node.arg, set()).add(kind)
+    read = set()
+    for stmt in (stmt for tree in trees for stmt in tree.body):
+        own = {stmt.name} if isinstance(stmt, ast.ClassDef) else classes
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                holder = getattr(node.value, "id", None)
+                read |= {(cls, node.attr) for cls in (
+                    own if holder == "self" else typed.get(holder, classes))}
+    return sorted(f"{cls}.{field}" for cls, field in fields - read)
+
+
 def test_every_function_and_class_has_a_caller_or_is_public():
-    # down to methods, and every parameter is read
+    # down to methods, and every parameter and dataclass field is read
     reached = _reached()
     found = []
     for name, tree in _trees().items():
@@ -316,4 +349,4 @@ def test_every_function_and_class_has_a_caller_or_is_public():
                           and not _dunder(item.name)
                           and (node.name, item.name) not in reached]
         found += [f"{name}:{unread}" for unread in _unread_parameters(tree)]
-    assert not found
+    assert not found + _unread_fields(_trees().values())
