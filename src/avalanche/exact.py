@@ -212,16 +212,24 @@ def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
 def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
     """Accept x = solve(digits) on states 1..len(b) when its residual
     against b is below 10**(-d/2), else solve once more at twice the
-    digits."""
+    digits; an elimination pivot that is not positive fails a try too.
+    The refusal names the digits of the last try."""
     digits = system.precision.decimal_digits
     for _ in range(2):
         with mp.workdps(digits + _GUARD_DIGITS):
-            x = solve(digits)
-            if (_residual_inf(system, digits, x, b)
-                    < system.precision.tol(digits)):
-                return x
+            try:
+                x = solve(digits)
+            except ArithmeticError as exc:
+                if type(exc) is not ArithmeticError:   # subclasses are bugs
+                    raise
+                refusal = exc
+            else:
+                if (_residual_inf(system, digits, x, b)
+                        < system.precision.tol(digits)):
+                    return x
+                refusal = None
         digits *= 2
-    raise ArithmeticError(
+    raise refusal or ArithmeticError(
         f"residual above tolerance even after raising precision to "
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 

@@ -160,12 +160,14 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
     any total number of replicates; a final partial block is a smaller
     run of its own on the same stream.  A pool starts at most one
     process per block, and none for a single block.  Fewer than one
-    replicate or worker is refused before any stream is built.
+    replicate, worker or step is refused before any stream is built.
     """
     if replicates < 1:
         raise ValueError(f"need replicates >= 1, got replicates={replicates}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got workers={workers}")
+    if max_steps < 1:
+        raise ValueError(f"need max_steps >= 1, got max_steps={max_steps}")
     sizes = [min(BLOCK_SIZE, replicates - lo)
              for lo in range(0, replicates, BLOCK_SIZE)]
     rngs = (replicate_rng(master_seed, b) for b in range(len(sizes)))

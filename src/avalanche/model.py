@@ -159,9 +159,21 @@ def simulate_count(params: ModelParams, i0: int, rng: np.random.Generator,
 
 
 # Below this many live replicates a vectorized step costs more than
-# stepping the survivors one by one: an array binomial draw carries about
-# 15 us of fixed overhead (argument checks), a scalar one about 1 us.
-_SCALAR_TAIL = 16
+# stepping the survivors one by one from state pools (``run_block``).  On
+# a 2-core x86_64 host a vectorized step took 18-22 us plus 0.07-0.24 us
+# per live replicate (an array binomial draw redoes its set-up for each
+# element); a pooled step took 0.16-0.38 us in long-lived runs (n <= 100,
+# c >= 1.4) and 0.7-1.5 us in blocks of fresh subcritical replicates.
+# That puts the break-even at 150-260 live replicates in the first and
+# near 35 in the second; whole blocks at seven inputs, n=20, c=2.5 to
+# n=1000, c=0.9, ran fastest with the tail entered between 128 and 256,
+# as the replicates left by then are the long-lived ones.
+_SCALAR_TAIL = 128
+# a state's pool is refilled by _POOL_FIRST draws, then each time by twice
+# its last fill up to _POOL_CAP: 16 draws cost 2.9 us, 256 cost 18 us, and
+# past that the cost per draw falls little (0.07 to 0.05 us) while the
+# unused draws a block throws away grow
+_POOL_FIRST, _POOL_CAP = 16, 256
 
 
 def binomial_step(n: int, logq: float, x: np.ndarray,
@@ -184,8 +196,17 @@ def run_block(params: ModelParams, i0: int, size: int,
 
     Every step draws the live replicates with one ``binomial_step`` and
     drops those absorbed.  Once at most ``_SCALAR_TAIL`` are left, each
-    survivor in turn, in row order, finishes with scalar draws from the
-    same generator.
+    survivor in turn, in row order, finishes from per-state pools of
+    draws that the survivors share: state x's pool holds
+    Binomial(n - x, 1 - q**x) draws, a step from x takes its next unused
+    one, and an empty pool is refilled by one sized draw from the
+    generator, ``_POOL_FIRST`` values at its first fill and twice its
+    last fill, up to ``_POOL_CAP``, after that.  The law is that of
+    fresh draws: a refill takes new values from the stream, and when a
+    pool is refilled depends only on how many of its values were used,
+    never on the unused ones, so given the path so far each value taken
+    is a fresh Binomial(n - x, 1 - q**x) draw.  The rows are a function
+    of ``rng``'s stream alone.
     """
     n = params.n
     if not 1 <= i0 <= n - 1:
@@ -210,11 +231,20 @@ def run_block(params: ModelParams, i0: int, size: int,
             out[gone, 1] = total[done]
             out[gone, 2] = peak[done]
             rows, x, total, peak = rows[live], x[live], total[live], peak[live]
+    pools, fills = {}, {}   # per state: its unused draws, its last fill
     for r, xi, si, mi in zip(rows.tolist(), x.tolist(), total.tolist(),
                              peak.tolist()):
         ti = t
         while xi and ti < max_steps:
-            xi = int(rng.binomial(n - xi, -math.expm1(xi * logq)))
+            try:
+                xi = pools[xi].pop()
+            except (KeyError, IndexError):   # a first visit, or used up
+                k = fills[xi] = min(2 * fills.get(xi, _POOL_FIRST // 2),
+                                    _POOL_CAP)
+                # reversed, so that pop() takes the draws in order
+                pools[xi] = rng.binomial(
+                    n - xi, -math.expm1(xi * logq), k)[::-1].tolist()
+                xi = pools[xi].pop()
             ti += 1
             si += xi
             if xi > mi:

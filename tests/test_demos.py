@@ -31,8 +31,14 @@ def _printed(name, capsys):
 
 
 def test_avalanche_basics_demo(capsys):
-    assert "  E(T): MC 7.555 +/- 0.057  exact 7.575" in _printed(
-        "avalanche_basics.py", capsys)
+    lines = _printed("avalanche_basics.py", capsys)
+    assert "  E(T): MC 7.554 +/- 0.058  exact 7.575" in lines
+    means = [re.fullmatch(r"  E\([TS]\): MC (\S+) \+/- (\S+)  exact (\S+)",
+                          line) for line in lines]
+    means = [[float(v) for v in m.groups()] for m in means if m]
+    assert len(means) == 6   # E(T) and E(S) at three intensities
+    for mc, se, exact in means:
+        assert abs(mc - exact) < 5 * se, (mc, se, exact)
 
 
 def test_branching_limit_demo(capsys):

@@ -365,9 +365,10 @@ def _max_12(system):
 
 
 class TestPrecisionRetry:
-    """A solve whose residual gate fails is solved once more at twice the
-    digits, refined or factored as at the first try, and returns that
-    answer; a second failure raises."""
+    """A solve whose residual gate fails, or whose elimination meets a
+    pivot that is not positive, is solved once more at twice the digits,
+    refined or factored as at the first try, and returns that answer; a
+    second failure raises."""
 
     @pytest.fixture
     def gate(self, monkeypatch):
@@ -424,6 +425,26 @@ class TestPrecisionRetry:
         failing.update({60, 120})
         with pytest.raises(ArithmeticError, match="raising precision to 120"):
             solve(small_system(n=20, c=1.1, digits=60))
+
+    def test_a_pivot_that_is_not_positive_fails_one_try(self):
+        # pivot 35 is not positive at 50 digits; at 100 the elimination
+        # goes through and the residual gate refuses
+        system = small_system(n=40, c=16, digits=50)
+        with pytest.raises(ArithmeticError, match="to 100 digits"):
+            expected_duration(system)
+        assert list(system._factors) == [100]
+
+    def test_an_arithmetic_error_subclass_is_not_retried(self):
+        # ZeroDivisionError and its kin signal bugs, not refusals
+        tries = []
+
+        def solve(digits):
+            tries.append(digits)
+            raise ZeroDivisionError("a bug")
+
+        with pytest.raises(ZeroDivisionError):
+            exact._checked_solve(small_system(), solve, [1])
+        assert tries == [60]
 
 
 class TestRefinement:

@@ -120,12 +120,13 @@ class TestTrajectories:
             stats = harness.run_trajectories(params, 2, reps, 77)
             np.testing.assert_array_equal(stats[size: 2 * size], direct)
 
-    # sha256 of the int64 rows, first 16 hex digits, recorded before
-    # run_block lost its stop level: no draw may move
+    # sha256 of the int64 rows, first 16 hex digits, recorded when the
+    # tail began to draw from state pools: a change that moves a draw
+    # must say why; the last rows never draw in the tail
     @pytest.mark.parametrize("n,c,i0,reps,seed,max_steps,digest", [
-        (50, 1.0, 2, 8232, 77, 10 ** 6, "5c6fed17ed951e87"),
-        (30, 2.0, 1, 25, 1, 10 ** 6, "be70b80bd9f79f52"),
-        (10 ** 4, 0.8, 1, 2000, 3, 10 ** 6, "411cdaef94bc9c27"),
+        (50, 1.0, 2, 8232, 77, 10 ** 6, "aa11041f5e2c628a"),
+        (30, 2.0, 1, 25, 1, 10 ** 6, "9bdb534a658a82b4"),
+        (10 ** 4, 0.8, 1, 2000, 3, 10 ** 6, "c279533688af43e6"),
         (100, 5.0, 50, 200, 4, 3, "d3b2b15df444924c")])
     def test_rows_are_pinned(self, n, c, i0, reps, seed, max_steps, digest):
         stats = harness.run_trajectories(ModelParams.from_intensity(n, c),
@@ -144,6 +145,14 @@ class TestTrajectories:
                                      workers=workers)
         assert not built
 
+    @pytest.mark.parametrize("max_steps", [0, -4])
+    def test_rejects_max_steps_below_one(self, max_steps, built):
+        # a row of T = 0 would break T >= 1
+        params = ModelParams.from_intensity(50, 1.0)
+        with pytest.raises(ValueError, match=f"max_steps={max_steps}$"):
+            harness.run_trajectories(params, 2, 10, 77, max_steps=max_steps)
+        assert not built
+
     def test_cap_truncates_every_row(self):
         params = ModelParams.from_intensity(100, 5.0)
         stats = harness.run_trajectories(params, 50, 200, 4, max_steps=3)
@@ -153,7 +162,7 @@ class TestTrajectories:
         assert (stats[:, 2] >= 50).all()
         assert (stats[:, 1] >= stats[:, 2] + 3).all()
 
-    @pytest.mark.parametrize("n,c,reps", [(30, 2.0, 40),       # scalar tail
+    @pytest.mark.parametrize("n,c,reps", [(30, 2.0, 40),       # pooled tail
                                           (50, 0.9, 20000)])   # lockstep
     def test_means_match_float_solves(self, n, c, reps):
         params = ModelParams.from_intensity(n, c)
@@ -793,10 +802,15 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, reason", [
-        ("exact --n 100 --c 99", "pivot 50 is not positive at 50 digits"),
-        ("exact --n 100 --c 8", "pivot 85 is not positive at 50 digits"),
-        ("exact --n 40 --c 16", "pivot 35 is not positive at 50 digits"),
-        ("figure --n 40", "pivot 35 is not positive at 50 digits"),
+        # each refuses at 50 digits and again at 100 (a pivot fails a try
+        # as the residual gate does)
+        ("exact --n 100 --c 99", "pivot 53 is not positive at 100 digits"),
+        ("exact --n 100 --c 8", "residual above tolerance even after "
+         "raising precision to 100 digits"),
+        ("exact --n 40 --c 16", "residual above tolerance even after "
+         "raising precision to 100 digits"),
+        ("figure --n 40", "residual above tolerance even after "
+         "raising precision to 100 digits"),
         ("exact --n 30 --c 14", "residual above tolerance even after "
          "raising precision to 100 digits")],
         ids=["c99", "c8", "c16", "figure", "residual"])

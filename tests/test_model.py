@@ -11,12 +11,13 @@ from scipy.stats import binom
 
 from avalanche import model
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
-                             build_q_float, reach_probability)
+                             build_q_float, duration_survival, expected_size,
+                             reach_probability)
 from avalanche.model import (ModelParams, excite_probability,
                              kernel_pmf_exact, kernel_row, kernel_rows,
                              lumped_rows, run_block, run_occupation,
                              simulate_count, simulate_set, step_count)
-from avalanche.model import _SCALAR_TAIL
+from avalanche.model import _POOL_CAP, _POOL_FIRST, _SCALAR_TAIL
 from avalanche.rng import replicate_rng
 
 
@@ -213,19 +214,50 @@ class TestSimulation:
         # one step cannot absorb a half-full strongly supercritical chain
         assert t.truncated or t.states[-1] == 0
 
-    @pytest.mark.parametrize("n,c,i0,max_steps", [(60, 1.2, 2, 10 ** 6),
-                                                  (100, 5.0, 50, 3)])
-    def test_scalar_block_replays_simulate_count(self, n, c, i0, max_steps):
-        # a block no larger than the scalar tail steps each replicate in
-        # turn, with the same draws simulate_count makes
+    @pytest.mark.parametrize("n,c,i0,max_steps,capped", [
+        (60, 1.2, 2, 10 ** 6, True), (100, 5.0, 50, 3, False),
+        (12, 2.0, 1, 10 ** 6, True)])
+    def test_tail_block_draws_from_state_pools(self, n, c, i0, max_steps,
+                                               capped):
+        # a block no larger than the tail steps each replicate in turn;
+        # state x's pool holds Binomial(n - x, 1 - q**x) draws, refilled
+        # when empty by _POOL_FIRST draws, then twice the last fill up to
+        # _POOL_CAP, and each step takes its next unused draw
         params = ModelParams.from_intensity(n, c)
         rows = run_block(params, i0, _SCALAR_TAIL, replicate_rng(3, 0),
                          max_steps)
         rng = replicate_rng(3, 0)
+        pools, fills = {}, {}
         for row in rows:
-            t = simulate_count(params, i0, rng, max_steps)
-            assert tuple(row) == (t.duration, t.size, t.max,
-                                  int(t.truncated))
+            x, t, size, peak = i0, 0, i0, i0
+            while x and t < max_steps:
+                if not pools.get(x):
+                    fills[x] = min(2 * fills.get(x, _POOL_FIRST // 2),
+                                   _POOL_CAP)
+                    pools[x] = rng.binomial(n - x, excite_probability(
+                        params, x), fills[x]).tolist()
+                x = pools[x].pop(0)
+                t, size, peak = t + 1, size + x, max(peak, x)
+            assert tuple(row) == (t, size, peak, int(x > 0))
+        assert (max(fills.values()) == _POOL_CAP) == capped
+
+    def test_tail_blocks_follow_the_exact_laws(self):
+        # n = 12 has 11 transient states, so about 92% of the tail steps
+        # come from refilled pools; the law of T and the mean of S must
+        # not depend on how the draws are made
+        params = ModelParams.from_intensity(12, 1.5)
+        rows = np.concatenate([
+            run_block(params, 1, _SCALAR_TAIL, replicate_rng(seed, 0),
+                      10 ** 6) for seed in range(50000 // _SCALAR_TAIL)])
+        system = SubstochasticSystem(params, PrecisionConfig(50))
+        t = rows[:, 0]
+        for m in range(1, 31):
+            ref = float(duration_survival(system, m)[0])
+            se = math.sqrt(ref * (1 - ref) / len(t))
+            assert abs(np.mean(t > m) - ref) < 5 * se, m
+        s = rows[:, 1]
+        se = s.std(ddof=1) / math.sqrt(len(s))
+        assert abs(s.mean() - float(expected_size(system)[0])) < 5 * se
 
     @pytest.mark.parametrize("n,c,i0,level,max_steps",
                              [(60, 1.2, 2, 10, 2000), (100, 1.5, 3, 10, 5)])
