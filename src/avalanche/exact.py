@@ -8,9 +8,11 @@ restrict the system to the states below the target level.
 
 The mpf tier runs in arbitrary precision (default 400 decimal digits)
 on integer kernel rows, each solve with an integer residual gate.  The
-expectations are refined from float64 corrections on an exact
-fixed-point residual; where that does not converge they, and every
-reach level, run on one cached LU of I-Q per chain, without pivoting.
+expectations are refined on an exact fixed-point residual, each
+correction one product with a cached float64 inverse of I-Q, eliminated
+without subtraction from the float image of those same rows; where that
+does not converge they, and every reach level, run on one cached LU of
+I-Q per chain, without pivoting.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many.  That solve
@@ -59,9 +61,9 @@ class SubstochasticSystem:
     reach probabilities, touch only the states below a threshold.
 
     Every row comes from `int_row`, which the residual gate reads.  The
-    expectations refine on its fixed-point rows, with each correction
-    solved on the float64 Q of `build_q_float`, the one float kernel
-    formula (`fixed_point_q` holds both).  The reach solves, and
+    expectations refine on its fixed-point rows, each correction taken
+    from the float64 inverse of I-Q that `_gth_inverse` eliminates from
+    those same rows (`fixed_point_q` holds both).  The reach solves, and
     the expectations where refinement fails, run on one cached
     factorization per digit count: the LU of I-Q over states 1..K plus
     a tail column, minus each row's mass above K.  Row i's
@@ -84,7 +86,9 @@ class SubstochasticSystem:
         self._rows: dict[tuple[int, int], list] = {}
         self._sums: dict[int, list[list]] = {}
         self._factors: dict[int, list[list]] = {}
-        self._fixed: dict[int, tuple[int, list[list[int]], np.ndarray]] = {}
+        self._bad_pivots: dict[int, int] = {}
+        self._fixed: dict[int, tuple[int, list[list[int]],
+                                     np.ndarray | None]] = {}
 
     @property
     def n(self) -> int:
@@ -136,13 +140,19 @@ class SubstochasticSystem:
         is refactored at least twice as large, so growing level by level
         stays O(n^3); a block at a new digit count is at least as large
         as any cached one, so a retry serves the levels its first try
-        served."""
+        served.  Leading blocks share their pivots, so a pivot that was
+        not positive at a digit count refuses every block holding it at
+        once."""
         digits = digits or self.precision.decimal_digits
         lu = self._factors.get(digits, [])
         if len(lu) >= k:
             return lu
         k = max(k, min(2 * len(lu), self.n - 1),
                 *(len(f) for f in self._factors.values()))
+        bad = self._bad_pivots.get(digits, k + 1)
+        if bad <= k:
+            raise ArithmeticError(f"pivot {bad} is not positive at "
+                                  f"{digits} digits")
         lu = []
         with mp.workdps(digits + _GUARD_DIGITS):
             for r in range(k):
@@ -155,6 +165,7 @@ class SubstochasticSystem:
                     v = a[j] - mp.fdot(out[:r], (u[j] for u in lu))
                     out.append(v / lu[j][j] if j < r else v)
                 if out[r] <= 0:
+                    self._bad_pivots[digits] = r + 1
                     raise ArithmeticError(f"pivot {r + 1} is not positive at "
                                           f"{digits} digits")
                 lu.append(out)
@@ -167,18 +178,58 @@ class SubstochasticSystem:
         return lu
 
     def fixed_point_q(self, digits: int | None = None
-                      ) -> tuple[int, list[list[int]], np.ndarray]:
-        """(P, rows, q): P the working bits plus 16, row i-1 the integers
-        Q(i, j) * 2**P truncated from the integer row, j = 1..n-i, and q
-        the float64 Q of ``build_q_float``; cached per digit count.
+                      ) -> tuple[int, list[list[int]], np.ndarray | None]:
+        """(P, rows, inverse): P the working bits plus 16, row i-1 the
+        integers F(i, j) = Q(i, j) * 2**P truncated from the integer row,
+        j = 1..n-i, and the float64 (I-Q)^-1 of ``_gth_inverse``, or None
+        where it refuses; cached per digit count.  It eliminates the
+        rows' image F / 2**P, correctly rounded as int / int is, flushed
+        below _TINY so that no product is subnormal, with exit rates
+        a(i) = Q(i, 0) = q**(i(n-i)) from each integer row's j = 0 term,
+        accurate however small, where 1 minus the row's mass cancels.
         """
         digits = digits or self.precision.decimal_digits
         if digits not in self._fixed:
             scale = _scale(digits)
-            self._fixed[digits] = scale, [
-                _scaled(self.int_row(i, digits)[1:], scale)
-                for i in range(1, self.n)], build_q_float(self.params)
+            rows = [_scaled(self.int_row(i, digits)[1:], scale)
+                    for i in range(1, self.n)]
+            q, unit = np.zeros((self.n - 1, self.n - 1)), 1 << scale
+            for i, row in enumerate(rows):
+                q[i, :len(row)] = [f / unit for f in row]
+            q[q < _TINY] = 0.0
+            exits = np.array([man / (1 << -exp) for man, exp in (
+                self.int_row(i, digits)[0] for i in range(1, self.n))])
+            self._fixed[digits] = scale, rows, _gth_inverse(q, exits)
         return self._fixed[digits]
+
+
+def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
+    """(I-Q)^-1 by Gauss-Jordan elimination in natural order with the
+    pivots of Grassmann, Taksar and Heyman (Oper. Res. 33(5), 1985), or
+    None where an exit rate underflows, a pivot is not positive or the
+    inverse is not finite.  Q's diagonal is not read; ``exits`` holds
+    I-Q's row sums a(i).  Pivot k is a(k) plus the off-diagonal mass left
+    in row k, and eliminating k adds to the exit rates left what k sends
+    them, so no step subtracts and every entry is accurate to a small
+    multiple of n ulp, however ill-conditioned I-Q is.  Eliminated
+    columns hold the inverse's, the rest minus the reduced off-diagonals.
+    The row sums are at most 1 / min a(i): with every a(i) normal,
+    neither the inverse nor its product with entries up to 1 overflows."""
+    if not (exits >= np.finfo(float).tiny).all():
+        return None
+    x, a = q.copy(), exits.copy()
+    for k in range(len(a)):
+        pivot = a[k] + x[k, k + 1:].sum()
+        if not pivot > 0:
+            return None
+        col = x[:, k].copy()
+        col[k] = 0.0
+        x[:, k] = 0.0
+        x[k, k] = 1.0
+        x[k] /= pivot
+        a[k + 1:] += col[k + 1:] * (a[k] / pivot)
+        x += np.outer(col, x[k])
+    return x if np.isfinite(x).all() else None
 
 
 def _scale(digits: int) -> int:
@@ -249,34 +300,34 @@ _SHRINK_BITS = 8
 def _refine(system: SubstochasticSystem, b: list[int],
             digits: int) -> list | None:
     """(I-Q)^-1 b over states 1..n-1 by iterative refinement, or None
-    where it does not converge: the float kernel refuses a correction,
-    or the residual fails twice running to shrink by 2**_SHRINK_BITS.
+    where it does not converge: the fixed-point rows have no float
+    inverse, or the residual fails twice running to shrink by
+    2**_SHRINK_BITS.
 
     x is kept in integers at scale 2**P and the residual b - (I-Q)x
     exactly at scale 2**2P, on the fixed-point Q (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 12; Carson and Higham, SIAM
-    J. Sci. Comput. 40(2), 2018).  Each pass solves for the correction
-    in float64, rounds it to 53-bit integers m times one power of two,
-    adds it to x and takes it off the residual by P-bit by 53-bit
-    products.  It stops once a correction is below 2**-(P-16), the
-    working precision: x >= b >= 1, so that is relative too.
+    J. Sci. Comput. 40(2), 2018).  Each pass takes the correction as the
+    float64 inverse of ``fixed_point_q`` times the residual, rounds it to
+    53-bit integers m times one power of two, adds it to x and takes it
+    off the residual by P-bit by 53-bit products.  It stops once a
+    correction is below 2**-(P-16), the working precision: x >= b >= 1,
+    so that is relative too.
     """
-    scale, fixed, q = system.fixed_point_q(digits)
-    where = f"refinement at n={system.n}, p={system.params.p}"
+    scale, fixed, inverse = system.fixed_point_q(digits)
+    if inverse is None:
+        return None
     x = [0] * len(b)
     r = [v << 2 * scale for v in b]
     size, stalls = max(r), 0
     while True:
         shift = max(size.bit_length() - 53, 0)
-        try:
-            y = _checked_float_solve(q, len(b), np.array(
-                [float(v >> shift) for v in r]), where)
-        except ArithmeticError:
-            return None
-        # the correction is y * 2**(shift - P) in units of x's last bit
+        y = inverse @ np.ldexp([float(v >> shift) for v in r], -53)
+        # the correction is y * 2**(shift + 53 - P) in units of x's last
+        # bit
         t = 53 - math.frexp(float(np.abs(y).max()))[1]
         m = np.rint(np.ldexp(y, t)).astype(np.int64).tolist()
-        s = shift - scale - t
+        s = shift + 53 - scale - t
         if s < 0:   # below x's last bit: round to it
             m, s = [(v + (1 << (-s - 1))) >> -s for v in m], 0
         x = [xi + (v << s) for xi, v in zip(x, m)]
@@ -362,19 +413,15 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
 def max_survival(system: SubstochasticSystem, i0: int,
                  levels) -> list:
     """P(max_k X_k >= J | X_0 = i0) for each J in ``levels``, all from
-    one factorization at the highest level solved."""
+    one factorization at the highest level solved: that level is solved
+    first, retried at twice the digits as every solve is, and the levels
+    below read its factors (a pivot that failed is not tried again)."""
     if not 1 <= i0 <= system.n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got {i0}")
     levels = list(levels)
-    system.factors(max((j for j in levels if i0 < j <= system.n),
-                       default=1) - 1)
-    out = []
-    for j_level in levels:
-        if i0 < j_level <= system.n:
-            out.append(reach_probability(system, j_level)[i0 - 1])
-        else:
-            out.append(mp.mpf(j_level <= i0))
-    return out
+    reached = {j: reach_probability(system, j)[i0 - 1] for j in sorted(
+        {j for j in levels if i0 < j <= system.n}, reverse=True)}
+    return [reached.get(j, mp.mpf(j <= i0)) for j in levels]
 
 
 def max_distribution(system: SubstochasticSystem, i0: int,

@@ -434,6 +434,20 @@ class TestPrecisionRetry:
             expected_duration(system)
         assert list(system._factors) == [100]
 
+    def test_max_survival_retries_a_pivot_once_per_call(self, monkeypatch):
+        # pivot 35 is not positive at 50 digits: the highest level's
+        # factorization retries at 100, and every level reads the retry
+        rows = []
+        row = SubstochasticSystem.row
+        monkeypatch.setattr(SubstochasticSystem, "row",
+                            lambda system, i, digits=None:
+                            rows.append(digits) or row(system, i, digits))
+        levels = range(1, 42)
+        got = max_survival(small_system(n=40, c=16, digits=50), 1, levels)
+        assert rows.count(50) == 35   # the failing try ran once
+        assert got == max_survival(small_system(n=40, c=16, digits=100), 1,
+                                   levels)
+
     def test_an_arithmetic_error_subclass_is_not_retried(self):
         # ZeroDivisionError and its kin signal bugs, not refusals
         tries = []
@@ -450,7 +464,7 @@ class TestPrecisionRetry:
 class TestRefinement:
     """The expectations refine from float64 corrections to the
     elimination's answer, and hand over to the elimination where the
-    float kernel refuses or the residual stalls."""
+    fixed-point rows have no float inverse or the residual stalls."""
 
     @staticmethod
     def eliminated(monkeypatch, system, solve):
@@ -461,7 +475,7 @@ class TestRefinement:
     @pytest.mark.parametrize("n, c, digits", [
         (3, 0.3, 60), (5, 2.5, 60), (8, 1.0, 60), (13, 0.7, 60),
         (17, 1.7, 60), (21, 2.0, 60), (30, 0.3, 60), (30, 2.5, 60),
-        (12, 1.0, 400), (30, 1.3, 400)])
+        (100, 2.0, 60), (12, 1.0, 400), (30, 1.3, 400)])
     def test_matches_elimination(self, n, c, digits, monkeypatch):
         system = small_system(n, c, digits)
         got = [expected_duration(system), expected_size(system)]
@@ -475,7 +489,8 @@ class TestRefinement:
         assert worst < mp.mpf(10) ** (10 - digits)
 
     def test_falls_back_where_float_kernel_refuses(self, monkeypatch):
-        # I-Q is too ill-conditioned at c = 3 for the float64 correction
+        # at c = 3 the residual grows from pass to pass, though the
+        # inverse's row sums hold E(T) to 1e-15 (below)
         refine, results = exact._refine, []
 
         def recorded(*args):
@@ -491,19 +506,39 @@ class TestRefinement:
 
     def test_falls_back_when_residual_stalls(self, monkeypatch):
         # half of each correction cuts the residual by 2, not 2**8
-        solve, calls = exact._checked_float_solve, []
-
-        def half(*args):
-            calls.append(1)
-            return 0.5 * solve(*args)
-
-        monkeypatch.setattr(exact, "_checked_float_solve", half)
         system = small_system(n=12, c=1.0, digits=60)
+        scale, rows, inverse = system.fixed_point_q()
+        calls = []
+
+        class Half:
+            def __matmul__(self, v):
+                calls.append(1)
+                return 0.5 * (inverse @ v)
+
+        system._fixed[60] = scale, rows, Half()
         got = expected_duration(system)
         assert len(calls) == 2   # two passes running that stalled
         assert 60 in system._factors
         assert got == self.eliminated(monkeypatch, small_system(12, 1.0, 60),
                                       expected_duration)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0])
+    def test_inverse_row_sums_are_the_expected_duration(self, c):
+        # (I-Q)^-1 1 = E(T); a float64 LU of I - build_q_float misses it
+        # here by 5e-3 (c = 2) and by 100% (c = 3)
+        system = small_system(n=100, c=c, digits=60)
+        inverse = system.fixed_point_q()[2]
+        want = [float(v) for v in expected_duration(system)]
+        np.testing.assert_allclose(inverse.sum(axis=1), want, rtol=1e-13)
+
+    def test_underflowing_exit_rate_hands_over_to_elimination(self):
+        # at q = 2**-53 the exit rates q**(i(n-i)) of states 3..7 lie
+        # below 2**-1074: the float image has no inverse to refine on
+        system = SubstochasticSystem(ModelParams(10, 1 - 2 ** -53),
+                                     PrecisionConfig(400))
+        assert system.fixed_point_q()[2] is None
+        expected_duration(system)
+        assert 400 in system._factors
 
 
 class TestFloatShortcuts:

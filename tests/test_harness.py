@@ -872,12 +872,15 @@ def test_readme_cli_examples(tmp_path):
 
 def test_cli_runs_without_scipy():
     # a fresh interpreter: the import, a table whose stability interval
-    # solves with brentq, and a simulation load no scipy module
+    # solves with brentq, a simulation and the refined exact solves of
+    # exact and figure load no scipy module
     code = """
 import sys
 from avalanche.cli import main
 main(["deterministic", "--lambda", "1.8", "--n", "100", "--i0", "5"])
 main(["simulate", "--n", "100", "--c", "0.8", "--reps", "50", "--seed", "1"])
+main(["exact", "--n", "40", "--c", "1.0", "--digits", "60"])
+main(["figure", "--n", "60", "--digits", "60"])
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
     src = str(Path(avalanche.__file__).parents[1])
@@ -886,4 +889,7 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert '"stability"' in lines[0] and '"duration"' in lines[1]
+    assert lines[2].startswith("1,4.35") and lines[11].startswith("10,")
+    assert [line[:6] for line in lines[12:16]] == [
+        "c=0.9:", "c=1.0:", "c=1.1:", "c=1.3:"]
     assert lines[-1] == "[]"

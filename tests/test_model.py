@@ -3,15 +3,17 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from avalanche import model
+from avalanche import exact, model
 from avalanche.exact import (PrecisionConfig, SubstochasticSystem,
-                             build_q_float, duration_survival, expected_size,
+                             build_q_float, duration_survival,
+                             expected_duration, expected_size,
                              reach_probability)
 from avalanche.model import (ModelParams, excite_probability,
                              kernel_pmf_exact, kernel_row, kernel_rows,
@@ -134,8 +136,8 @@ def _row_reference(params, i):
 
 
 class TestKernelGrid:
-    """Every float kernel row, Q and refinement Q alike, is bit for bit
-    the per-row formula."""
+    """Every float kernel row and Q is bit for bit the per-row formula;
+    the refinement's float Q is the image of its own fixed-point rows."""
 
     GRID = [(n, c) for n in (3, 10, 30, 100, 257, 1000)
             for c in (0.3, 1.0, 2.5, 10.0) if c < n]
@@ -171,11 +173,38 @@ class TestKernelGrid:
         with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
             kernel_rows(ModelParams(10, 0.1), states)
 
-    def test_refinement_q_is_build_q_float(self):
-        params = ModelParams.from_intensity(40, 1.1)
-        system = SubstochasticSystem(params, PrecisionConfig(60))
-        _, _, q = system.fixed_point_q()
-        assert np.array_equal(q, build_q_float(params))
+    def test_refinement_q_is_the_fixed_point_rows(self, monkeypatch):
+        # the inverse behind every correction is eliminated from the
+        # fixed-point rows over 2**P, correctly rounded and flushed below
+        # _TINY, with exit rates q**(i(n-i)) to 1 ulp, 1e-44 at n=200,
+        # c=2 included; no solve reads build_q_float
+        images = []
+        gth = exact._gth_inverse
+        monkeypatch.setattr(exact, "_gth_inverse",
+                            lambda q, a: images.append((q, a)) or gth(q, a))
+        monkeypatch.setattr(exact, "build_q_float", None)
+        system = SubstochasticSystem(ModelParams.from_intensity(40, 1.1),
+                                     PrecisionConfig(60))
+        expected_duration(system)
+        expected_size(system)
+        assert not system._factors
+        supercritical = SubstochasticSystem(
+            ModelParams.from_intensity(200, 2.0), PrecisionConfig(60))
+        supercritical.fixed_point_q()
+        for (q, a), system in zip(images, [system, supercritical],
+                                  strict=True):
+            n = system.n
+            scale, rows, _ = system.fixed_point_q()
+            want = np.zeros((n - 1, n - 1))
+            for i, row in enumerate(rows):
+                want[i, :len(row)] = [float(Fraction(f, 2 ** scale))
+                                      for f in row]
+            assert np.array_equal(q, np.where(want < exact._TINY, 0.0, want))
+            with mp.workprec(200):
+                fail = 1 - mp.mpf(system.params.p)
+                rates = [float(fail ** (i * (n - i))) for i in range(1, n)]
+            np.testing.assert_allclose(a, rates, rtol=2 ** -52)
+        assert min(a) < 1e-43
 
 
 class TestConditionalMoments:

@@ -1,8 +1,8 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
-one integer row builder for the exact tier, one lockstep engine, one
-mean-field iteration per deterministic table, random generators built
-only from a replicate key, scipy imported only inside the functions that
-use it, no pass-through layer left behind, no
+one GTH elimination, one integer row builder for the exact tier, one
+lockstep engine, one mean-field iteration per deterministic table, random
+generators built only from a replicate key, scipy imported only inside
+the functions that use it, no pass-through layer left behind, no
 module reaching into a sibling's private names, no function, class or
 method that neither the CLI nor the public list reaches, and no
 parameter or dataclass field left unread."""
@@ -49,6 +49,22 @@ def test_one_float_solve_and_one_i_minus_q_both_in_exact():
 def _functions(tree):
     return [node for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)]
+
+
+def test_one_gth_elimination_read_only_by_fixed_point_q():
+    # the one rank-one elimination in src/ is the GTH inverse, and the
+    # refinement reaches it only through the cached fixed-point rows
+    trees = _trees()
+    outer = {name: [node.name for node in _functions(tree)
+                    if _calls(node, "np", "outer")]
+             for name, tree in trees.items()}
+    assert {k: v for k, v in outer.items() if v} == {
+        "exact.py": ["_gth_inverse"]}
+    readers = {(name, node.name) for name, tree in trees.items()
+               for node in _functions(tree)
+               if any(isinstance(ref, ast.Name) and ref.id == "_gth_inverse"
+                      for ref in ast.walk(node))}
+    assert readers == {("exact.py", "fixed_point_q")}
 
 
 def test_one_float_kernel_formula():
