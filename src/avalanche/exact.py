@@ -16,9 +16,12 @@ I-Q per chain, without pivoting.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many.  That solve
-hands LAPACK I-Q with its entries below _TINY (1.5e-154) flushed to 0,
-as subnormal fill made it 2.5-3x slower at n >= 400; its residual gate
-reads the unflushed I-Q.
+flushes I-Q's entries below _TINY (1.5e-154) to 0, as subnormal fill
+made LAPACK 2.5-3x slower at n >= 400; its residual gate reads the
+unflushed I-Q.  Both float kernels, that solve and the inverse, work on
+the states 1..K a transition of the flushed Q can enter (``_reached``)
+and finish the later rows from them: I-Q is block lower-triangular
+there, its trailing block diagonal.
 """
 
 from dataclasses import dataclass
@@ -213,12 +216,17 @@ def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
     them, so no step subtracts and every entry is accurate to a small
     multiple of n ulp, however ill-conditioned I-Q is.  Eliminated
     columns hold the inverse's, the rest minus the reduced off-diagonals.
-    The row sums are at most 1 / min a(i): with every a(i) normal,
-    neither the inverse nor its product with entries up to 1 overflows."""
+    It eliminates only the states 1..K that ``_reached`` finds entered;
+    each later row r is Q(r, :K) G / D(r), G the block's inverse, with
+    1 / D(r) on its diagonal, D(r) = a(r) + sum_{j<K} Q(r, j) = (I-Q)(r,
+    r) formed without subtraction too.  The row sums are at most 1 / min
+    a(i): with every a(i) normal, neither the inverse nor its product
+    with entries up to 1 overflows."""
     if not (exits >= np.finfo(float).tiny).all():
         return None
-    x, a = q.copy(), exits.copy()
-    for k in range(len(a)):
+    reached = _reached(q)
+    x, a = q[:reached, :reached].copy(), exits[:reached].copy()
+    for k in range(reached):
         pivot = a[k] + x[k, k + 1:].sum()
         if not pivot > 0:
             return None
@@ -229,7 +237,28 @@ def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
         x[k] /= pivot
         a[k + 1:] += col[k + 1:] * (a[k] / pivot)
         x += np.outer(col, x[k])
-    return x if np.isfinite(x).all() else None
+    rest = q[reached:, :reached]
+    d = exits[reached:] + rest.sum(axis=1)
+    inverse = np.zeros_like(q)
+    inverse[:reached, :reached] = x
+    inverse[reached:, :reached] = rest @ x / d[:, None]
+    r = np.arange(reached, len(q))
+    inverse[r, r] = 1.0 / d
+    return inverse if np.isfinite(inverse).all() else None
+
+
+def _reached(m: np.ndarray) -> int:
+    """K: one past the last column of the square ``m`` holding an entry
+    off its diagonal.  The states above K are entered by no transition,
+    so I - m is block lower-triangular, its trailing block diagonal
+    (Higham, Accuracy and Stability of Numerical Algorithms, section
+    9.5): a solve or inverse over the leading K x K block finishes every
+    later row by one product and one division.  Subcritical kernels
+    flushed below _TINY reach 354 of 799 states at n=800, c=0.5."""
+    off = m != 0
+    off.flat[::len(m) + 1] = False   # the diagonal
+    cols = off.any(axis=0).nonzero()[0]
+    return int(cols[-1]) + 1 if cols.size else 0
 
 
 def _scale(digits: int) -> int:
@@ -450,11 +479,19 @@ def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
     |rhs|_inf).  LAPACK gets I - Q with its entries below _TINY flushed to
     0, as their subnormal fill in the LU made it 2.5-3x slower at n >= 400;
     that moves no row of this row-dominant M-matrix by a resolvable amount
-    (Higham, section 9.5).  Near and above the transition I - Q can be too
-    ill-conditioned for float64: the solve then returns garbage, negative
-    values included.  Callers check their own invariants on top."""
+    (Higham, section 9.5).  It solves only the block over the states
+    1..K that a transition of the flushed Q can enter (``_reached``);
+    each later row r is x(r) = (rhs(r) + Q(r, :K) x_K) / (I-Q)(r, r).
+    Near and above the transition I - Q can be too ill-conditioned for
+    float64: the solve then returns garbage, negative values included.
+    Callers check their own invariants on top."""
     a = np.eye(k) - q[:k, :k]   # k = 0 (a reach of level 1) is empty
-    x = np.linalg.solve(np.where(np.abs(a) < _TINY, 0.0, a), rhs)
+    flushed = np.where(np.abs(a) < _TINY, 0.0, a)
+    reached = _reached(flushed)
+    x = np.linalg.solve(flushed[:reached, :reached], rhs[:reached])
+    if reached < k:
+        x = np.concatenate([x, (rhs[reached:] - flushed[reached:, :reached]
+                                @ x) / np.diagonal(flushed)[reached:]])
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
     residual = float(np.abs(a @ x - rhs).max(initial=0.0))

@@ -607,6 +607,12 @@ class TestFloatTwinRefusals:
             kernel_power_mean(self.params, 3, -1)
 
 
+def flushed_reach(q, k):
+    """K of I - Q over states 1..k, flushed below _TINY as the solve is."""
+    a = np.eye(k) - q[:k, :k]
+    return exact._reached(np.where(np.abs(a) < exact._TINY, 0.0, a))
+
+
 class TestSubnormalFreeSolve:
     """LAPACK never sees an entry whose products could be subnormal, and
     the flush changes no answer."""
@@ -629,22 +635,120 @@ class TestSubnormalFreeSolve:
 
     @pytest.mark.parametrize("n,c", GRID)
     def test_float_twins_equal_the_unflushed_solve(self, n, c):
+        # over the reached states 1..K the answer is LAPACK's on the
+        # unflushed block, bit for bit; the rows above K, finished from
+        # it, stay within 4e-15 of a full-size solve
         params = ModelParams.from_intensity(n, c)
         q = build_q_float(params)
-        i_minus_q = np.eye(n - 1) - q
-        for solve, rhs in ((expected_duration_float, np.ones(n - 1)),
-                           (expected_size_float, np.arange(1.0, n))):
-            assert np.array_equal(solve(params),
-                                  np.linalg.solve(i_minus_q, rhs))
         lev = n // 2 - 1   # the states below level n // 2
-        h = np.linalg.solve(np.eye(lev) - q[:lev, :lev],
-                            q[:lev, lev:].sum(axis=1))
-        assert np.array_equal(reach_probability_float(params, n // 2),
-                              np.clip(h, 0.0, 1.0))
+        cases = [(expected_duration_float(params), n - 1, np.ones(n - 1)),
+                 (expected_size_float(params), n - 1, np.arange(1.0, n)),
+                 (reach_probability_float(params, n // 2), lev,
+                  q[:lev, lev:].sum(axis=1))]
+        for x, k, rhs in cases:
+            reached = flushed_reach(q, k)
+            block = np.linalg.solve(np.eye(reached) - q[:reached, :reached],
+                                    rhs[:reached])
+            full = np.linalg.solve(np.eye(k) - q[:k, :k], rhs)
+            if k == lev:   # the reach twin clips to [0, 1]
+                block, full = np.clip(block, 0.0, 1.0), np.clip(full, 0.0,
+                                                                1.0)
+            assert np.array_equal(x[:reached], block)
+            np.testing.assert_allclose(x, full, rtol=4e-15, atol=0)
+        if n == 200:
+            # as far from 60-digit mpf as the full solve, to 1%: the worst
+            # state lies in the block, where LAPACK's rounding on K rows
+            # differs from its rounding on all (E(T) at c = 0.5: 1.3779e-13
+            # against 1.3762e-13)
+            system = SubstochasticSystem(params, PrecisionConfig(60))
+            for (x, k, rhs), solve in zip(cases[:2], (expected_duration,
+                                                      expected_size)):
+                want = np.array([float(v) for v in solve(system)])
+                full = np.linalg.solve(np.eye(k) - q, rhs)
+                assert (np.abs(x - want) / want).max() \
+                    <= 1.01 * (np.abs(full - want) / want).max()
 
-    @pytest.mark.parametrize("n,c", [(200, 2.0), (400, 3.0)])
+    @pytest.mark.parametrize("n,c", [(200, 2.0), (400, 3.0), (100, 2.0),
+                                     (100, 3.0), (300, 1.5)])
     def test_supercritical_solves_still_raise(self, n, c):
         params = ModelParams.from_intensity(n, c)
         for solve in (expected_duration_float, expected_size_float):
             with pytest.raises(ArithmeticError):
                 solve(params)
+
+
+class TestReachedBlock:
+    """The float solve and the GTH inverse work on the states 1..K that
+    a transition can enter, and finish the rows above K from them."""
+
+    def test_level_one_reaches_nothing(self):
+        # a reach of level 1 has no state below it: K = k = 0
+        assert exact._reached(np.zeros((0, 0))) == 0
+        params = ModelParams.from_intensity(50, 0.5)
+        assert reach_probability_float(params, 1).shape == (0,)
+
+    def test_split_of_a_hand_built_kernel(self):
+        # states 3 and 4 are entered only from themselves: K = 2, and the
+        # rows above it divide by their own diagonals 0.75 and 0.5
+        q = np.array([[0.2, 0.3, 0.0, 0.0],
+                      [0.1, 0.4, 0.0, 0.0],
+                      [0.3, 0.2, 0.25, 0.0],
+                      [0.05, 0.1, 0.0, 0.5]])
+        assert exact._reached(q) == 2
+        rhs = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(
+            exact._checked_float_solve(q, 4, rhs, "hand-built"),
+            np.linalg.solve(np.eye(4) - q, rhs), rtol=1e-15)
+        np.testing.assert_allclose(
+            exact._gth_inverse(q, 1.0 - q.sum(axis=1)),
+            np.linalg.inv(np.eye(4) - q), rtol=1e-15)
+
+    def test_rows_above_k_hold_their_equations(self):
+        n = 800
+        params = ModelParams.from_intensity(n, 0.5)
+        q = build_q_float(params)
+        i_minus_q = np.eye(n - 1) - q
+        k = flushed_reach(q, n - 1)
+        assert k == 354
+        # no transition enters a state above K: off the diagonal, the
+        # columns above K hold only entries the flush removes
+        off = q.copy()
+        np.fill_diagonal(off, 0.0)
+        assert (off[:, k:] < exact._TINY).all()
+        for solve, rhs in ((expected_duration_float, np.ones(n - 1)),
+                           (expected_size_float, np.arange(1.0, n))):
+            x = solve(params)
+            # x(r) (I-Q)(r, r) - Q(r, :K) x_K = rhs(r), to an ulp of x(r)
+            residual = (i_minus_q @ x - rhs)[k:]
+            assert (np.abs(residual) <= 2 * np.spacing(x[k:])).all()
+
+    def test_split_inverse_is_non_negative_with_e_t_row_sums(
+            self, monkeypatch):
+        images = []
+        gth = exact._gth_inverse
+        monkeypatch.setattr(exact, "_gth_inverse",
+                            lambda q, a: images.append(q) or gth(q, a))
+        system = small_system(n=200, c=1.2, digits=400)
+        inverse = system.fixed_point_q()[2]
+        assert exact._reached(images[0]) == 176 < 199
+        assert (inverse >= 0).all()
+        want = [float(v) for v in expected_duration(system)]
+        np.testing.assert_allclose(inverse.sum(axis=1), want, rtol=1e-13)
+
+    @pytest.mark.parametrize("n, c, digits", [
+        (100, 0.8, 400), (200, 1.2, 60), (300, 1.5, 400), (100, 2.0, 60)])
+    def test_refined_values_equal_the_unsplit_elimination(
+            self, n, c, digits, monkeypatch):
+        images = []
+        gth = exact._gth_inverse
+        monkeypatch.setattr(exact, "_gth_inverse",
+                            lambda q, a: images.append(q) or gth(q, a))
+        got = [[v._mpf_ for v in solve(small_system(n, c, digits))]
+               for solve in (expected_duration, expected_size)]
+        assert exact._reached(images[0]) < n - 1   # the inverse was split
+        monkeypatch.setattr(exact, "_reached", len)   # K = k: no split
+        system = small_system(n, c, digits)
+        assert system.fixed_point_q()[2] is not None
+        want = [[v._mpf_ for v in solve(system)]
+                for solve in (expected_duration, expected_size)]
+        assert got == want

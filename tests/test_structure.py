@@ -1,5 +1,6 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
-one GTH elimination, one integer row builder for the exact tier, one
+one GTH elimination, one reached-block helper read by the two float
+kernels, one integer row builder for the exact tier, one
 lockstep engine, one mean-field iteration per deterministic table, random
 generators built only from a replicate key, scipy imported only inside
 the functions that use it, no pass-through layer left behind, no
@@ -65,6 +66,17 @@ def test_one_gth_elimination_read_only_by_fixed_point_q():
                if any(isinstance(ref, ast.Name) and ref.id == "_gth_inverse"
                       for ref in ast.walk(node))}
     assert readers == {("exact.py", "fixed_point_q")}
+
+
+def test_reached_block_read_only_by_the_two_float_kernels():
+    # one helper finds the states a transition can enter, for the float
+    # solve and the GTH inverse alike
+    readers = {(name, node.name) for name, tree in _trees().items()
+               for node in _functions(tree)
+               if any(isinstance(ref, ast.Name) and ref.id == "_reached"
+                      for ref in ast.walk(node))}
+    assert readers == {("exact.py", "_checked_float_solve"),
+                       ("exact.py", "_gth_inverse")}
 
 
 def test_one_float_kernel_formula():
