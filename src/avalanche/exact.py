@@ -12,7 +12,7 @@ expectations are refined on an exact fixed-point residual, each
 correction one product with a cached float64 inverse of I-Q, eliminated
 without subtraction from the float image of those same rows; where that
 does not converge they, and every reach level, run on one cached LU of
-I-Q per chain, without pivoting.
+I-Q per chain, without pivoting and without subtraction.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many.  That solve
@@ -89,7 +89,6 @@ class SubstochasticSystem:
         self._rows: dict[tuple[int, int], list] = {}
         self._sums: dict[int, list[list]] = {}
         self._factors: dict[int, list[list]] = {}
-        self._bad_pivots: dict[int, int] = {}
         self._fixed: dict[int, tuple[int, list[list[int]],
                                      np.ndarray | None]] = {}
 
@@ -143,40 +142,36 @@ class SubstochasticSystem:
         is refactored at least twice as large, so growing level by level
         stays O(n^3); a block at a new digit count is at least as large
         as any cached one, so a retry serves the levels its first try
-        served.  Leading blocks share their pivots, so a pivot that was
-        not positive at a digit count refuses every block holding it at
-        once."""
+        served.  No step subtracts (Grassmann, Taksar and Heyman): off the
+        diagonal L, U <= 0, and pivot r is e(r) = a(r) - L(r, :r) e, a(r) =
+        Q(r, 0), plus the magnitudes of U's row r, as U 1 = L^-1 a = e."""
         digits = digits or self.precision.decimal_digits
         lu = self._factors.get(digits, [])
         if len(lu) >= k:
             return lu
         k = max(k, min(2 * len(lu), self.n - 1),
                 *(len(f) for f in self._factors.values()))
-        bad = self._bad_pivots.get(digits, k + 1)
-        if bad <= k:
-            raise ArithmeticError(f"pivot {bad} is not positive at "
-                                  f"{digits} digits")
-        lu = []
+        lu, sums, minus_e = [], [], []
         with mp.workdps(digits + _GUARD_DIGITS):
             for r in range(k):
                 full = self.row(r + 1, digits)
                 a = [-v for v in full[1:k + 1]]
                 a += [mp.mpf(0)] * (k - len(a)) + [-mp.fsum(full[k + 1:])]
-                a[r] += 1
                 out = []   # Doolittle: L(r, j) for j < r, then U(r, j)
                 for j in range(k + 1):
-                    v = a[j] - mp.fdot(out[:r], (u[j] for u in lu))
+                    v = 0 if j == r else a[j] - mp.fdot(
+                        out[:r], (u[j] for u in lu))
                     out.append(v / lu[j][j] if j < r else v)
-                if out[r] <= 0:
-                    self._bad_pivots[digits] = r + 1
-                    raise ArithmeticError(f"pivot {r + 1} is not positive at "
-                                          f"{digits} digits")
+                # U's row summed exactly from each column j > r on, tail
+                # included: the reach sums round it once, as mp.fsum does
+                tails = [*accumulate(reversed(out[r + 1:]),
+                                     partial(mp.fadd, exact=True))][::-1]
+                sums.append([+v for v in tails])
+                # e(r) from a(r) and L(r, j) * -e(j), all >= 0
+                minus_e.append(-mp.fdot([full[0], *out[:r]], [1, *minus_e]))
+                out[r] = -(minus_e[-1] + tails[0])   # e(r) - U's row sum
                 lu.append(out)
-            # row r summed from each column j > r on, tail included:
-            # exact sums rounded once, as mp.fsum rounds them
-            self._sums[digits] = [[+v for v in accumulate(reversed(
-                row[r + 1:]), partial(mp.fadd, exact=True))][::-1]
-                for r, row in enumerate(lu)]
+        self._sums[digits] = sums
         self._factors[digits] = lu
         return lu
 
@@ -292,24 +287,16 @@ def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
 def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
     """Accept x = solve(digits) on states 1..len(b) when its residual
     against b is below 10**(-d/2), else solve once more at twice the
-    digits; an elimination pivot that is not positive fails a try too.
-    The refusal names the digits of the last try."""
+    digits.  The refusal names the digits of the last try."""
     digits = system.precision.decimal_digits
     for _ in range(2):
         with mp.workdps(digits + _GUARD_DIGITS):
-            try:
-                x = solve(digits)
-            except ArithmeticError as exc:
-                if type(exc) is not ArithmeticError:   # subclasses are bugs
-                    raise
-                refusal = exc
-            else:
-                if (_residual_inf(system, digits, x, b)
-                        < system.precision.tol(digits)):
-                    return x
-                refusal = None
+            x = solve(digits)
+            if (_residual_inf(system, digits, x, b)
+                    < system.precision.tol(digits)):
+                return x
         digits *= 2
-    raise refusal or ArithmeticError(
+    raise ArithmeticError(
         f"residual above tolerance even after raising precision to "
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 
@@ -428,14 +415,20 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     level; for i >= j_level the probability is 1 by definition.  The
     reduced right-hand side is minus the U rows' sums over columns >=
     j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
+    An entry past 1 by at most the tolerance, a rounding, is clamped to
+    1; one past it by more is refused.
     """
     m = _states_below(system.n, j_level)
     # factors fills _sums before they are read; factors(0) leaves it unset
     h = _checked_solve(system, lambda digits: _back(
         system.factors(m, digits), [-s[m - i - 1] for i, s in enumerate(
             system._sums.get(digits, [])[:m])]), [0] * m)
-    if any(v < 0 or v > 1 for v in h):
-        raise ArithmeticError("reach probability escaped [0, 1]")
+    if not all(0 <= v <= 1 for v in h):
+        tol = system.precision.tol()
+        # v - 1, not v > 1 + tol: at mpmath's default 53 bits 1 + tol is 1
+        if any(v < 0 or v - 1 > tol for v in h):
+            raise ArithmeticError("reach probability escaped [0, 1]")
+        h = [min(v, mp.mpf(1)) for v in h]
     return h
 
 
@@ -444,7 +437,7 @@ def max_survival(system: SubstochasticSystem, i0: int,
     """P(max_k X_k >= J | X_0 = i0) for each J in ``levels``, all from
     one factorization at the highest level solved: that level is solved
     first, retried at twice the digits as every solve is, and the levels
-    below read its factors (a pivot that failed is not tried again)."""
+    below read its factors."""
     if not 1 <= i0 <= system.n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got {i0}")
     levels = list(levels)
@@ -455,13 +448,18 @@ def max_survival(system: SubstochasticSystem, i0: int,
 
 def max_distribution(system: SubstochasticSystem, i0: int,
                      j_max: int | None = None) -> list:
-    """pmf of max_k X_k over J = 0..j_max (entries below i0 are zero)."""
+    """pmf of max_k X_k over J = 0..j_max (entries below i0 are zero).
+    Adjacent tails near 1 may invert by rounding: a difference below 0
+    by at most the tolerance is clamped to 0, one below that refused."""
     j_max = system.n if j_max is None else j_max
     tail = max_survival(system, i0, range(i0, j_max + 2))
+    tol, zero = system.precision.tol(), mp.mpf(0)
     # the tails carry the working precision; so must their differences
     with mp.workdps(system.precision.decimal_digits + _GUARD_DIGITS):
-        pmf = [mp.mpf(0)] * i0 + [a - b for a, b in zip(tail, tail[1:])]
-    return pmf[:j_max + 1]
+        pmf = [zero] * i0 + [a - b for a, b in zip(tail, tail[1:])]
+    if any(v < -tol for v in pmf):
+        raise ArithmeticError("max distribution has a negative entry")
+    return [max(v, zero) for v in pmf[:j_max + 1]]
 
 
 def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:

@@ -276,6 +276,50 @@ class TestReachAndMax:
         with mp.workdps(60):
             assert abs(mp.fsum(pmf) - 1) < mp.mpf(10) ** -30
 
+    @pytest.mark.parametrize("n, c, digits", [(20, 16, 50), (30, 16, 50),
+                                              (30, 16, 60)])
+    def test_reach_overshooting_one_by_a_rounding_is_one(self, n, c,
+                                                         digits):
+        # P(max >= 2 | 1) is 1 - 2.5e-64 at (30, 16); its solve passes the
+        # residual gate a rounding unit above 1
+        tails = max_survival(small_system(n, c, digits), 1, range(1, n + 2))
+        assert all(0 <= v <= 1 for v in tails)
+
+    def test_reach_refuses_an_overshoot_past_the_tolerance(self,
+                                                           monkeypatch):
+        system = small_system(n=10, c=1.0, digits=50)
+        tol = system.precision.tol()
+        with mp.workdps(60):
+            near, far = 1 + tol / 2, 1 + 2 * tol
+        monkeypatch.setattr(exact, "_checked_solve", lambda *args: [near])
+        assert reach_probability(system, 2) == [1]
+        monkeypatch.setattr(exact, "_checked_solve", lambda *args: [far])
+        with pytest.raises(ArithmeticError, match="escaped"):
+            reach_probability(system, 2)
+
+    @pytest.mark.parametrize("n, c", [(25, 15), (30, 15), (35, 14), (35, 15),
+                                      (40, 13), (40, 14)])
+    def test_max_distribution_near_one_is_a_pmf(self, n, c):
+        # tails within 2.2e-9 of 1 invert by a rounding (7.8e-62) where
+        # the pmf's entries lie near 1e-69..1e-85
+        pmf = max_distribution(small_system(n, c, 50), 1)
+        assert all(v >= 0 for v in pmf)
+        with mp.workdps(60):
+            assert abs(mp.fsum(pmf) - 1) < mp.mpf(10) ** -25
+
+    def test_max_distribution_refuses_tails_out_of_order(self, monkeypatch):
+        system = small_system(n=5, c=1.0, digits=50)
+        tol, zero = system.precision.tol(), [mp.mpf(0)] * 3
+        with mp.workdps(60):
+            near, far = [1, 1 - tol, 1 - tol / 2], [1, 1 - 2 * tol, 1]
+        # a pmf entry tail(2) - tail(3) of -tol / 2, then of -2 tol
+        monkeypatch.setattr(exact, "max_survival",
+                            lambda *args: near + zero)
+        assert max_distribution(system, 1)[2] == 0
+        monkeypatch.setattr(exact, "max_survival", lambda *args: far + zero)
+        with pytest.raises(ArithmeticError, match="negative"):
+            max_distribution(system, 1)
+
     def test_reach_vs_brute_force_power(self):
         # P(max >= J) = lim_m P(hit [J, n] within m steps); iterate the
         # absorbing-at-J kernel as an independent comparator
@@ -343,6 +387,17 @@ class TestFactorization:
         assert all(system._rows[key] is row for key, row in rows.items())
         assert not system._factors
 
+    def test_reach_is_accurate_to_working_precision(self):
+        # the Doolittle pivots lost 2.8e-56 relative here, at level 37
+        n, c = 40, 4.0
+        system, ref = small_system(n, c, 60), small_system(n, c, 240)
+        with mp.workdps(250):
+            for j_level in range(2, n):
+                worst = max(abs(a - b) / b for a, b in zip(
+                    reach_probability(system, j_level),
+                    reach_probability(ref, j_level)))
+                assert worst < 1e-65, j_level
+
     def test_reach_factors_only_the_block_below_the_level(self):
         system = small_system(n=400, c=1.0)
         assert len(reach_probability(system, 40)) == 39
@@ -365,10 +420,9 @@ def _max_12(system):
 
 
 class TestPrecisionRetry:
-    """A solve whose residual gate fails, or whose elimination meets a
-    pivot that is not positive, is solved once more at twice the digits,
-    refined or factored as at the first try, and returns that answer; a
-    second failure raises."""
+    """A solve whose residual gate fails is solved once more at twice the
+    digits, refined or factored as at the first try, and returns that
+    answer; a second failure raises."""
 
     @pytest.fixture
     def gate(self, monkeypatch):
@@ -426,17 +480,24 @@ class TestPrecisionRetry:
         with pytest.raises(ArithmeticError, match="raising precision to 120"):
             solve(small_system(n=20, c=1.1, digits=60))
 
-    def test_a_pivot_that_is_not_positive_fails_one_try(self):
-        # pivot 35 is not positive at 50 digits; at 100 the elimination
-        # goes through and the residual gate refuses
+    def test_every_pivot_is_at_least_its_reduced_exit_rate(self):
+        # a Doolittle pivot 1 - Q(r, r) - sum L U was not positive at
+        # state 35 here; e = L^-1 a, a(r) = Q(r, 0), bounds each from
+        # below.  The residual gate still refuses E(T), at both tries.
         system = small_system(n=40, c=16, digits=50)
-        with pytest.raises(ArithmeticError, match="to 100 digits"):
-            expected_duration(system)
-        assert list(system._factors) == [100]
+        lu = system.factors(39)
+        with mp.workdps(60):
+            e = []
+            for r, row in enumerate(lu):
+                e.append(system.row(r + 1)[0] - mp.fdot(row[:r], e))
+                assert row[r] >= e[r] >= system.row(r + 1)[0] > 0
+        with pytest.raises(ArithmeticError, match="residual above tolerance "
+                           "even after raising precision to 100 digits"):
+            expected_duration(small_system(n=40, c=16, digits=50))
 
-    def test_max_survival_retries_a_pivot_once_per_call(self, monkeypatch):
-        # pivot 35 is not positive at 50 digits: the highest level's
-        # factorization retries at 100, and every level reads the retry
+    def test_max_survival_solves_at_the_first_digits(self, monkeypatch):
+        # the 50-digit factorization needs no retry, and every level
+        # matches the 100-digit answer to the tolerance
         rows = []
         row = SubstochasticSystem.row
         monkeypatch.setattr(SubstochasticSystem, "row",
@@ -444,9 +505,9 @@ class TestPrecisionRetry:
                             rows.append(digits) or row(system, i, digits))
         levels = range(1, 42)
         got = max_survival(small_system(n=40, c=16, digits=50), 1, levels)
-        assert rows.count(50) == 35   # the failing try ran once
-        assert got == max_survival(small_system(n=40, c=16, digits=100), 1,
-                                   levels)
+        assert set(rows) == {50}
+        want = max_survival(small_system(n=40, c=16, digits=100), 1, levels)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-25
 
     def test_an_arithmetic_error_subclass_is_not_retried(self):
         # ZeroDivisionError and its kin signal bugs, not refusals
@@ -503,6 +564,10 @@ class TestRefinement:
         assert results == [None]
         assert [len(lu) for lu in system._factors.values()] == [99]
         assert got == self.eliminated(monkeypatch, system, expected_duration)
+        # the elimination is accurate to the working precision
+        want = expected_duration(small_system(n=100, c=3.0, digits=120))
+        with mp.workdps(130):
+            assert max(abs(a - b) / b for a, b in zip(got, want)) < 1e-65
 
     def test_falls_back_when_residual_stalls(self, monkeypatch):
         # half of each correction cuts the residual by 2, not 2**8

@@ -802,9 +802,9 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, reason", [
-        # each refuses at 50 digits and again at 100 (a pivot fails a try
-        # as the residual gate does)
-        ("exact --n 100 --c 99", "pivot 53 is not positive at 100 digits"),
+        # each refuses at 50 digits and again at 100
+        ("exact --n 100 --c 99", "residual above tolerance even after "
+         "raising precision to 100 digits"),
         ("exact --n 100 --c 8", "residual above tolerance even after "
          "raising precision to 100 digits"),
         ("exact --n 40 --c 16", "residual above tolerance even after "

@@ -79,6 +79,14 @@ def test_reached_block_read_only_by_the_two_float_kernels():
                        ("exact.py", "_gth_inverse")}
 
 
+def test_exact_solves_catch_nothing():
+    # no elimination pivot can fail, so a failed residual gate is the one
+    # reason to retry a solve
+    tree = _trees()["exact.py"]
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
+    assert "_bad_pivots" not in ast.unparse(tree)
+
+
 def test_one_float_kernel_formula():
     trees = _trees()
     assert [node.name for node in _functions(trees["model.py"])
