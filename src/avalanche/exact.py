@@ -15,17 +15,19 @@ does not converge they, and every reach level, run on one cached LU of
 I-Q per chain, without pivoting and without subtraction.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
-refuse; the Q-taking forms let one float Q serve many.  That solve
-flushes I-Q's entries below _TINY (1.5e-154) to 0, as subnormal fill
-made LAPACK 2.5-3x slower at n >= 400; its residual gate reads the
-unflushed I-Q.  Both float kernels, that solve and the inverse, work on
+refuse; the Q-taking forms let one float Q serve many, each built on
+its rows' support only (``kernel_rows``).  That solve flushes I-Q's
+entries below _TINY (1.5e-154) to 0, as subnormal fill made LAPACK
+2.5-3x slower at n >= 400; its residual gate reads the unflushed Q, as
+x - Qx - rhs.  Both float kernels, that solve and the inverse, work on
 the states 1..K a transition of the flushed Q can enter (``_reached``)
 and finish the later rows from them: I-Q is block lower-triangular
-there, its trailing block diagonal.
+there, its trailing block diagonal, and the solve forms I-Q over those
+K columns only.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 import math
 import operator
@@ -54,7 +56,17 @@ class PrecisionConfig:
                              f"got {self.decimal_digits}")
 
     def tol(self, digits: int | None = None) -> mp.mpf:
-        return mp.mpf(10) ** (-(digits or self.decimal_digits) // 2)
+        return _tol(digits or self.decimal_digits, mp.mp.prec)
+
+
+@cache
+def _tol(digits: int, prec: int) -> mp.mpf:
+    """10**(-digits/2) rounded to ``prec`` bits, cached as it costs 5-7
+    us at 400 digits: keyed on the caller's working precision (a solve's
+    inside workdps, a clamp's at 53 bits), each caller reads the value
+    it would compute."""
+    with mp.workprec(prec):
+        return mp.mpf(10) ** (-digits // 2)
 
 
 class SubstochasticSystem:
@@ -243,15 +255,15 @@ def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
 
 
 def _reached(m: np.ndarray) -> int:
-    """K: one past the last column of the square ``m`` holding an entry
-    off its diagonal.  The states above K are entered by no transition,
-    so I - m is block lower-triangular, its trailing block diagonal
-    (Higham, Accuracy and Stability of Numerical Algorithms, section
-    9.5): a solve or inverse over the leading K x K block finishes every
-    later row by one product and one division.  Subcritical kernels
+    """K: one past the last column of the square ``m`` holding a nonzero
+    (in a mask, True) entry off its diagonal.  The states above K are
+    entered by no transition, so I - m is block lower-triangular, its
+    trailing block diagonal (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 9.5): a solve or inverse over the leading K x K
+    block finishes every later row by one product and one division.  Subcritical kernels
     flushed below _TINY reach 354 of 799 states at n=800, c=0.5."""
-    off = m != 0
-    off.flat[::len(m) + 1] = False   # the diagonal
+    off = m.astype(bool)
+    off.reshape(-1)[::len(m) + 1] = False   # the diagonal
     cols = off.any(axis=0).nonzero()[0]
     return int(cols[-1]) + 1 if cols.size else 0
 
@@ -464,35 +476,40 @@ def max_distribution(system: SubstochasticSystem, i0: int,
 
 def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
     """Transient kernel Q as a float64 matrix over states 1..n-1, or its
-    first ``rows`` rows (states 1..rows)."""
+    first ``rows`` rows (states 1..rows): a view past column 0 of the
+    kernel rows over j = 0..n-1, with no copy."""
     n = params.n
-    q = kernel_rows(params, range(1, n if rows is None else rows + 1))
-    return np.ascontiguousarray(q[:, 1:n])
+    return kernel_rows(params, range(1, n if rows is None else rows + 1),
+                       n)[:, 1:]
 
 
 def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
                          where: str) -> np.ndarray:
     """Solve (I-Q) x = rhs over states 1..k in float64; raise unless x is
-    finite and the residual on the unflushed I - Q is below 1e-8 * max(1,
-    |rhs|_inf).  LAPACK gets I - Q with its entries below _TINY flushed to
-    0, as their subnormal fill in the LU made it 2.5-3x slower at n >= 400;
-    that moves no row of this row-dominant M-matrix by a resolvable amount
-    (Higham, section 9.5).  It solves only the block over the states
-    1..K that a transition of the flushed Q can enter (``_reached``);
-    each later row r is x(r) = (rhs(r) + Q(r, :K) x_K) / (I-Q)(r, r).
-    Near and above the transition I - Q can be too ill-conditioned for
-    float64: the solve then returns garbage, negative values included.
-    Callers check their own invariants on top."""
-    a = np.eye(k) - q[:k, :k]   # k = 0 (a reach of level 1) is empty
-    flushed = np.where(np.abs(a) < _TINY, 0.0, a)
-    reached = _reached(flushed)
-    x = np.linalg.solve(flushed[:reached, :reached], rhs[:reached])
+    finite and the residual x - Q x - rhs on the unflushed Q is below
+    1e-8 * max(1, |rhs|_inf).  LAPACK gets I - Q with its entries below
+    _TINY flushed to 0, as their subnormal fill in the LU made it 2.5-3x
+    slower at n >= 400; that moves no row of this row-dominant M-matrix
+    by a resolvable amount (Higham, section 9.5).  It solves only the
+    block over the states 1..K that a transition of the flushed Q can
+    enter (``_reached`` on Q >= _TINY), and I - Q is formed and flushed
+    only over those K columns: each later row r is x(r) = (rhs(r) +
+    Q(r, :K) x_K) / (I-Q)(r, r), with 1 - Q(r, r) 0 or at least 2**-53,
+    never flushed.  Near and above the transition I - Q can be too
+    ill-conditioned for float64: the solve then returns garbage,
+    negative values included.  Callers check their own invariants on
+    top."""
+    q = q[:k, :k]   # k = 0 (a reach of level 1) is empty
+    reached = _reached(q >= _TINY)
+    a = np.eye(k, reached) - q[:, :reached]
+    a[np.abs(a) < _TINY] = 0.0
+    x = np.linalg.solve(a[:reached], rhs[:reached])
     if reached < k:
-        x = np.concatenate([x, (rhs[reached:] - flushed[reached:, :reached]
-                                @ x) / np.diagonal(flushed)[reached:]])
+        x = np.concatenate([x, (rhs[reached:] - a[reached:] @ x)
+                            / (1.0 - np.diagonal(q)[reached:])])
     if not np.isfinite(x).all():
         raise ArithmeticError(f"{where} is not finite")
-    residual = float(np.abs(a @ x - rhs).max(initial=0.0))
+    residual = float(np.abs(x - q @ x - rhs).max(initial=0.0))
     if residual > 1e-8 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
         raise ArithmeticError(f"{where} has residual {residual:.3g}; "
                               "use the mpf solver")

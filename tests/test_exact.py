@@ -1,5 +1,8 @@
 """Arbitrary-precision absorbing-chain analytics tests."""
 
+from functools import partial
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -29,6 +32,27 @@ class TestPrecisionConfig:
     def test_minimum_digits(self):
         with pytest.raises(ValueError):
             PrecisionConfig(10)
+
+    @pytest.mark.parametrize("digits", [50, 60, 101, 400])
+    def test_cached_tolerance_is_a_fresh_one_at_each_precision(self,
+                                                               digits):
+        # a solve reads it inside workdps(digits + guard), at d and 2d
+        # digits, the clamps at mpmath's default 53 bits: each reads the
+        # value computed at its own precision, cached or not
+        cfg = PrecisionConfig(digits)
+        seen = set()
+        for dps in (None, digits + exact._GUARD_DIGITS,
+                    2 * digits + exact._GUARD_DIGITS):
+            with mp.workdps(dps) if dps else mp.workprec(53):
+                for d, tol in ((digits, cfg.tol),
+                               (2 * digits, partial(cfg.tol, 2 * digits))):
+                    fresh = mp.mpf(10) ** (-d // 2)
+                    # the first call may compute it, the second reads it
+                    assert tol()._mpf_ == tol()._mpf_ == fresh._mpf_
+                    seen.add(fresh._mpf_)
+        # 10**-25 and beyond are not binary fractions: the key needs the
+        # precision
+        assert len(seen) == 6
 
 
 class TestRows:
@@ -670,6 +694,77 @@ class TestFloatTwinRefusals:
     def test_kernel_power_mean_refuses_negative_steps(self):
         with pytest.raises(ValueError, match="got i0=3, k=-1"):
             kernel_power_mean(self.params, 3, -1)
+
+
+def _dense_float_solve(q, k, rhs, where):
+    """The float solve as it was before it formed I - Q over the reached
+    columns only: the whole flushed I - Q over states 1..k, and the gate
+    on the unflushed I - Q times x."""
+    a = np.eye(k) - q[:k, :k]
+    flushed = np.where(np.abs(a) < exact._TINY, 0.0, a)
+    reached = exact._reached(flushed)
+    x = np.linalg.solve(flushed[:reached, :reached], rhs[:reached])
+    if reached < k:
+        x = np.concatenate([x, (rhs[reached:] - flushed[reached:, :reached]
+                                @ x) / np.diagonal(flushed)[reached:]])
+    if not np.isfinite(x).all():
+        raise ArithmeticError(f"{where} is not finite")
+    residual = float(np.abs(a @ x - rhs).max(initial=0.0))
+    if residual > 1e-8 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+        raise ArithmeticError(f"{where} has residual {residual:.3g}; "
+                              "use the mpf solver")
+    return x
+
+
+class TestSupportOnlySolve:
+    """Formed over the reached columns only, the float solve returns the
+    dense solve's answers to the bit and refuses what it refuses."""
+
+    @pytest.mark.parametrize("n, c, level, expectations", [
+        (40, 1.0, 20, True), (200, 1.2, 100, True), (800, 0.5, 400, True),
+        (1000, 1.5, 100, False)])
+    def test_answers_equal_the_dense_solve(self, n, c, level, expectations,
+                                           monkeypatch):
+        params = ModelParams.from_intensity(n, c)
+        solves = [partial(reach_probability_float, params, level)]
+        if expectations:   # E(T) and E(S) at n=1000, c=1.5 are refused
+            solves += [partial(expected_duration_float, params),
+                       partial(expected_size_float, params)]
+        got = [solve() for solve in solves]
+        monkeypatch.setattr(exact, "_checked_float_solve", _dense_float_solve)
+        for x, solve in zip(got, solves, strict=True):
+            assert np.array_equal(x, solve())
+        if n == 800:   # the rows above K were finished from the block
+            assert flushed_reach(build_q_float(params), n - 1) == 354
+
+    def test_rows_above_k_read_the_flushed_q(self):
+        # state 3 sends 1e-160 < _TINY to state 1 and is entered by no
+        # transition: K = 2, and its row, whose right-hand side is as
+        # small, reads that entry as 0, as the dense solve does
+        q = np.array([[0.2, 0.3, 0.0],
+                      [0.1, 0.4, 0.0],
+                      [1e-160, 0.0, 0.5]])
+        rhs = np.array([1.0, 2.0, 1e-170])
+        x = exact._checked_float_solve(q, 3, rhs, "hand-built")
+        assert np.array_equal(x, _dense_float_solve(q, 3, rhs, "hand-built"))
+        assert x[2] == 1e-170 / 0.5
+
+    @pytest.mark.parametrize("n, c", [(100, 2.0), (100, 3.0), (200, 2.0)])
+    def test_refuses_what_the_dense_solve_refuses(self, n, c, monkeypatch):
+        # the same refusal; a residual's value may differ in its last bits
+        params = ModelParams.from_intensity(n, c)
+
+        def refusals():
+            out = []
+            for solve in (expected_duration_float, expected_size_float):
+                with pytest.raises(ArithmeticError) as exc:
+                    solve(params)
+                out.append(re.sub(r"residual [^;]*;", "residual;",
+                                  str(exc.value)))
+            return out
+        got = refusals()
+        monkeypatch.setattr(exact, "_checked_float_solve", _dense_float_solve)
+        assert got == refusals()
 
 
 def flushed_reach(q, k):

@@ -1,6 +1,7 @@
 """Kernel and simulator tests for the count- and set-level chains."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -167,6 +168,42 @@ class TestKernelGrid:
         assert (rows == 0).mean() > 0.5
         assert np.array_equal(
             rows, np.array([_row_reference(params, i) for i in range(n + 1)]))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, model._GRID_ROWS + 7])
+    def test_rows_in_any_order_over_blocks_equal_the_row_formula(self,
+                                                                 extra):
+        # n + 1 rows fill several blocks, the last one short or of one
+        # row; each block's columns stop at its least state's support
+        n = 2 * model._GRID_ROWS + extra
+        params = ModelParams.from_intensity(n, 1.2)
+        ref = np.array([_row_reference(params, i) for i in range(n + 1)])
+        shuffled = np.random.default_rng(n).permutation(n + 1)
+        assert np.array_equal(kernel_rows(params, shuffled), ref[shuffled])
+        for ends in ([0, n], [n, 0], [n]):
+            assert np.array_equal(kernel_rows(params, ends), ref[ends])
+        # caps below the support of the first block's rows, which they
+        # cut, and past the width of later blocks
+        for width in (n // 3, n - model._GRID_ROWS + 2, n + 3):
+            want = np.zeros((n + 1, width))
+            want[:, :min(width, n + 1)] = ref[:, :width]
+            assert np.array_equal(kernel_rows(params, range(n + 1), width),
+                                  want)
+            assert np.array_equal(kernel_rows(params, shuffled, width),
+                                  want[shuffled])
+
+    def test_q_build_peaks_below_twice_q(self):
+        # the blocks are written into the result and Q is a view of it:
+        # no full-size temporary or copy
+        params = ModelParams.from_intensity(2000, 1.3)
+        build_q_float(ModelParams(10, 0.1))   # scipy imported
+        tracemalloc.start()
+        try:
+            q = build_q_float(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.shape == (1999, 1999)
+        assert peak <= 2 * q.nbytes
 
     @pytest.mark.parametrize("states", [[-1], [0, 11], [3, 12]])
     def test_refuses_state_outside_range(self, states):
