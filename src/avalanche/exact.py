@@ -7,12 +7,13 @@ probabilities are iterated products Q^m e, and reach probabilities
 restrict the system to the states below the target level.
 
 The mpf tier runs in arbitrary precision (default 400 decimal digits)
-on integer kernel rows, each solve with an integer residual gate.  The
-expectations are refined on an exact fixed-point residual, each
-correction one product with a cached float64 inverse of I-Q, eliminated
-without subtraction from the float image of those same rows; where that
-does not converge they, and every reach level, run on one cached LU of
-I-Q per chain, without pivoting and without subtraction.
+on integer kernel rows, each solve with an integer residual gate.
+Survival multiplies their fixed-point image floor(Q 2**P) in integers;
+the expectations refine on it with an exact residual, each correction
+one product with a cached float64 inverse of I-Q eliminated without
+subtraction from its float image.  Where that does not converge they,
+and every reach level, run on one cached LU of I-Q per chain, without
+pivoting and without subtraction.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many, each built on
@@ -75,14 +76,15 @@ class SubstochasticSystem:
     Rows are built lazily (and cached) because some solves, notably
     reach probabilities, touch only the states below a threshold.
 
-    Every row comes from `int_row`, which the residual gate reads.  The
-    expectations refine on its fixed-point rows, each correction taken
-    from the float64 inverse of I-Q that `_gth_inverse` eliminates from
-    those same rows (`fixed_point_q` holds both).  The reach solves, and
-    the expectations where refinement fails, run on one cached
-    factorization per digit count: the LU of I-Q over states 1..K plus
-    a tail column, minus each row's mass above K.  Row i's
-    diagonal exceeds its off-diagonal magnitudes by Q(i,0) plus that
+    Every row comes from `int_row`, which the residual gate reads.
+    Survival multiplies its fixed-point rows (`fixed_rows`); the
+    expectations refine on them, each correction from the float64
+    inverse of I-Q that `_gth_inverse` eliminates from them
+    (`fixed_point_q`); the elimination alone reads the mpf rows (`row`).
+    The reach solves, and the expectations where refinement fails, run
+    on one cached factorization per digit count: the LU of I-Q over
+    states 1..K plus a tail column, minus each row's mass above K.  Row
+    i's diagonal exceeds its off-diagonal magnitudes by Q(i,0) plus that
     mass, > 0 for p < 1; this strict row dominance holds in every Schur
     complement, so no pivoting is needed (Higham, Accuracy and Stability
     of Numerical Algorithms, section 9.5), and leading blocks share
@@ -101,8 +103,7 @@ class SubstochasticSystem:
         self._rows: dict[tuple[int, int], list] = {}
         self._sums: dict[int, list[list]] = {}
         self._factors: dict[int, list[list]] = {}
-        self._fixed: dict[int, tuple[int, list[list[int]],
-                                     np.ndarray | None]] = {}
+        self._fixed: dict[int, tuple] = {}
 
     @property
     def n(self) -> int:
@@ -138,9 +139,8 @@ class SubstochasticSystem:
         return out
 
     def row(self, i: int, digits: int | None = None) -> list:
-        """Full kernel pmf row at state i as mpf values over j = 0..n-i:
-        the integer row's terms rounded to the working precision, for the
-        elimination and ``duration_survival``."""
+        """Full kernel pmf row at state i over j = 0..n-i: the integer
+        row's terms as mpf at the working precision, for the elimination."""
         digits = digits or self.precision.decimal_digits
         key = (i, digits)
         if key not in self._rows:
@@ -187,22 +187,30 @@ class SubstochasticSystem:
         self._factors[digits] = lu
         return lu
 
-    def fixed_point_q(self, digits: int | None = None
-                      ) -> tuple[int, list[list[int]], np.ndarray | None]:
-        """(P, rows, inverse): P the working bits plus 16, row i-1 the
-        integers F(i, j) = Q(i, j) * 2**P truncated from the integer row,
-        j = 1..n-i, and the float64 (I-Q)^-1 of ``_gth_inverse``, or None
-        where it refuses; cached per digit count.  It eliminates the
-        rows' image F / 2**P, correctly rounded as int / int is, flushed
-        below _TINY so that no product is subnormal, with exit rates
-        a(i) = Q(i, 0) = q**(i(n-i)) from each integer row's j = 0 term,
-        accurate however small, where 1 minus the row's mass cancels.
-        """
+    def fixed_rows(self, digits: int | None = None) -> tuple[int, list]:
+        """(P, rows): P the working bits plus 16, row i-1 the integers
+        F(i, j) = floor(Q(i, j) 2**P) from the integer row, j = 1..n-i;
+        cached per digit count, where ``fixed_point_q`` adds an inverse."""
         digits = digits or self.precision.decimal_digits
         if digits not in self._fixed:
             scale = _scale(digits)
-            rows = [_scaled(self.int_row(i, digits)[1:], scale)
-                    for i in range(1, self.n)]
+            self._fixed[digits] = scale, [
+                _scaled(self.int_row(i, digits)[1:], scale)
+                for i in range(1, self.n)]
+        return self._fixed[digits][:2]
+
+    def fixed_point_q(self, digits: int | None = None
+                      ) -> tuple[int, list[list[int]], np.ndarray | None]:
+        """(P, rows, inverse): ``fixed_rows`` and the float64 (I-Q)^-1 of
+        ``_gth_inverse``, or None where it refuses, built on the first
+        call.  It eliminates the rows' image F / 2**P, correctly rounded
+        as int / int is, flushed below _TINY so that no product is
+        subnormal, with exit rates a(i) = Q(i, 0) = q**(i(n-i)) from each
+        integer row's j = 0 term, accurate however small, where 1 minus
+        the row's mass cancels."""
+        digits = digits or self.precision.decimal_digits
+        scale, rows = self.fixed_rows(digits)
+        if len(self._fixed[digits]) == 2:
             q, unit = np.zeros((self.n - 1, self.n - 1)), 1 << scale
             for i, row in enumerate(rows):
                 q[i, :len(row)] = [f / unit for f in row]
@@ -400,17 +408,19 @@ def expected_size(system: SubstochasticSystem) -> list:
 
 
 def duration_survival(system: SubstochasticSystem, m: int) -> list:
-    """P(T > m | X_0 = i) for i = 1..n-1, by m matrix-vector products."""
+    """P(T > m | X_0 = i) for i = 1..n-1 in integers v at scale 2**P: from
+    v = 2**P, m times v = F v >> P on ``fixed_rows``' F = floor(Q 2**P),
+    returned exactly as mpf.  Each is within m (n+1) 2**-P of Q^m 1,
+    absolute (2**-P per entry of F and per shift, on v <= 1), in [0, 1]
+    and nonincreasing in m across calls: F 1 <= 2**P; floors keep order."""
     if m < 0:
         raise ValueError(f"horizon must be >= 0, got {m}")
-    digits = system.precision.decimal_digits
-    n = system.n
-    with mp.workdps(digits + _GUARD_DIGITS):
-        v = [mp.mpf(1)] * (n - 1)
-        rows = [system.row(i, digits)[1:] for i in range(1, n)]
-        for _ in range(m):
-            v = [mp.fdot(row, v) for row in rows]
-    return v
+    scale, rows = system.fixed_rows()
+    v = [sum(row) for row in rows] if m else [1 << scale] * (system.n - 1)
+    for _ in range(m - 1):
+        v = [sum(map(operator.mul, row, v)) >> scale for row in rows]
+    with mp.workprec(scale + 1):
+        return [mp.mpf((x, -scale)) for x in v]
 
 
 def _states_below(n: int, j_level: int) -> int:
@@ -476,11 +486,11 @@ def max_distribution(system: SubstochasticSystem, i0: int,
 
 def build_q_float(params: ModelParams, rows: int | None = None) -> np.ndarray:
     """Transient kernel Q as a float64 matrix over states 1..n-1, or its
-    first ``rows`` rows (states 1..rows): a view past column 0 of the
-    kernel rows over j = 0..n-1, with no copy."""
+    first ``rows`` rows (states 1..rows): the kernel rows over j =
+    1..n-1, written in place, C-contiguous."""
     n = params.n
     return kernel_rows(params, range(1, n if rows is None else rows + 1),
-                       n)[:, 1:]
+                       n, 1)
 
 
 def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,

@@ -83,14 +83,14 @@ def excite_probability(params: ModelParams, i: int) -> float:
 _GRID_ROWS = 200
 
 
-def kernel_rows(params: ModelParams, states, width: int | None = None
-                ) -> np.ndarray:
-    """Pmf rows P(X_{k+1} = j | X_k = i) over j = 0..width-1 (by default
-    all of 0..n), one per state i: the binomial log-pmf on a (state, j)
-    grid, cut to 0 below -745.  The grid is taken ``_GRID_ROWS`` rows at
-    a time, straight into the result, each block over the columns j <=
-    n - i of its least state i, the widest support in it; the rest of
-    each row is 0."""
+def kernel_rows(params: ModelParams, states, width: int | None = None,
+                first: int = 0) -> np.ndarray:
+    """Pmf rows P(X_{k+1} = j | X_k = i) over j = first..width-1 (by
+    default all of 0..n), one per state i: the binomial log-pmf on a
+    (state, j) grid, cut to 0 below -745.  The grid is taken
+    ``_GRID_ROWS`` rows at a time, straight into the result, each block
+    over the columns j <= n - i of its least state i, the widest support
+    in it; the rest of each row is 0."""
     from scipy.special import gammaln
     n = params.n
     states = np.asarray(states, dtype=np.int64)
@@ -104,16 +104,16 @@ def kernel_rows(params: ModelParams, states, width: int | None = None
     lg[:min(lo, width)] = gammaln(np.arange(min(lo, width)) + 1.0)
     lg[lo:] = gammaln(np.arange(lo, n + 1) + 1.0)
     logq = (states * math.log1p(-params.p))[:, None]   # log(q**i)
-    rows = np.zeros((len(states), width))
+    rows = np.zeros((len(states), width - first))
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(s)[:, None]
         for start in range(0, len(states), _GRID_ROWS):
             block = slice(start, start + _GRID_ROWS)
             i = states[block]
-            j = np.arange(min(width, n - min(listed[block]) + 1))
+            j = np.arange(first, min(width, n - min(listed[block]) + 1))
             k = (n - i)[:, None] - j    # n - i - j, negative off the support
             grid = rows[block, :len(j)]     # the log-pmf, summed in place
-            np.subtract(lg[n - i][:, None], lg[:len(j)], out=grid)
+            np.subtract(lg[n - i][:, None], lg[j], out=grid)
             grid -= lg.take(k, mode="clip")
             grid += j * logs[block]
             grid += k * logq[block]

@@ -1,6 +1,8 @@
 """Arbitrary-precision absorbing-chain analytics tests."""
 
-from functools import partial
+from fractions import Fraction
+from functools import cache, partial
+import operator
 import re
 
 import mpmath as mp
@@ -15,7 +17,8 @@ from avalanche.exact import (MAX_EXACT_N, PrecisionConfig,
                              expected_size_float, kernel_power_mean,
                              max_distribution, max_survival, q_powers,
                              reach_probability, reach_probability_float)
-from avalanche.model import ModelParams, kernel_row
+from avalanche.model import (ModelParams, kernel_pmf_exact, kernel_row,
+                             kernel_rows)
 
 
 def small_system(n=20, c=0.9, digits=60):
@@ -242,6 +245,18 @@ class TestSolves:
         assert values[0] < values[1] < values[2]
 
 
+@cache
+def _rational_survival(n, c, m_max):
+    """Q^m 1 for m = 0..m_max in Fractions on the exact kernel."""
+    params = ModelParams.from_intensity(n, c)
+    q = [[kernel_pmf_exact(params, i, j) for j in range(1, n)]
+         for i in range(1, n)]
+    out = [[Fraction(1)] * (n - 1)]
+    for _ in range(m_max):
+        out.append([sum(map(operator.mul, row, out[-1])) for row in q])
+    return out
+
+
 class TestSurvival:
     def test_m_zero_is_one(self):
         system = small_system()
@@ -253,6 +268,31 @@ class TestSurvival:
         for m in range(1, 6):
             cur = duration_survival(system, m)
             assert all(b <= a for a, b in zip(prev, cur))
+            prev = cur
+
+    @pytest.mark.parametrize("digits", [60, 400])
+    def test_within_m_n_plus_1_units_of_the_rational_oracle(self, digits):
+        # Q^m 1 in Fractions on the exact kernel: each product loses at
+        # most 2**-P per row entry and 2**-P in its shift
+        unit = Fraction(1, 2 ** exact._scale(digits))
+        for n, c in [(5, 0.5), (12, 0.7), (12, 1.0), (12, 2.0), (12, 4.0)]:
+            system = small_system(n, c, digits)
+            for m, want in enumerate(_rational_survival(n, c, 10)):
+                got = [Fraction(2) ** exp * man for man, exp in (
+                    v.man_exp for v in duration_survival(system, m))]
+                assert max(abs(a - b) for a, b in zip(got, want)) \
+                    <= m * (n + 1) * unit, (n, c, m)
+
+    @pytest.mark.parametrize("c", [1.0, 4.0])
+    def test_in_unit_interval_and_nonincreasing_over_calls(self, c):
+        # F 1 <= 2**P and each product keeps order, so every call's values
+        # are at most the last call's, to the bit
+        system = small_system(n=15, c=c)
+        prev = duration_survival(system, 0)
+        assert all(v == 1 for v in prev)
+        for m in range(1, 41):
+            cur = duration_survival(system, m)
+            assert all(0 <= b <= a <= 1 for a, b in zip(prev, cur)), m
             prev = cur
 
     def test_sums_to_expected_duration(self):
@@ -736,6 +776,16 @@ class TestSupportOnlySolve:
             assert np.array_equal(x, solve())
         if n == 800:   # the rows above K were finished from the block
             assert flushed_reach(build_q_float(params), n - 1) == 354
+
+    @pytest.mark.parametrize("n, c", [(40, 1.0), (200, 1.2), (800, 0.5),
+                                      (1000, 1.5)])
+    def test_q_is_contiguous_and_the_kernel_rows_past_column_0(self, n, c):
+        params = ModelParams.from_intensity(n, c)
+        full = kernel_rows(params, range(1, n), n)
+        for rows in (n - 1, n // 2):
+            q = build_q_float(params, rows)
+            assert q.flags.c_contiguous
+            assert np.array_equal(q, full[:rows, 1:])
 
     def test_rows_above_k_read_the_flushed_q(self):
         # state 3 sends 1e-160 < _TINY to state 1 and is entered by no

@@ -1,12 +1,13 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one GTH elimination, one reached-block helper read by the two float
-kernels, one integer row builder for the exact tier, one
-lockstep engine, one mean-field iteration per deterministic table, random
-generators built only from a replicate key, scipy imported only inside
-the functions that use it, no pass-through layer left behind, no
-module reaching into a sibling's private names, no function, class or
-method that neither the CLI nor the public list reaches, and no
-parameter or dataclass field left unread."""
+kernels, one integer row builder for the exact tier, mpf rows read by
+the elimination alone, one lockstep engine, one mean-field iteration
+per deterministic table, random generators built only from a replicate
+key, scipy imported only inside the functions that use it, no
+pass-through layer left behind, no module reaching into a sibling's
+private names, no function, class or method that neither the CLI nor
+the public list reaches, and no parameter or dataclass field left
+unread."""
 
 import ast
 import inspect
@@ -133,6 +134,17 @@ def test_one_integer_row_builder_in_exact():
     # factorization, not from a sum over factor rows per level
     assert [name for name, node in functions.items()
             if _calls(node, "mp", "fsum")] == ["factors"]
+
+
+def test_mpf_rows_read_only_by_the_elimination():
+    # survival multiplies the fixed-point rows: no mpf row is built for it
+    readers = {(name, node.name) for name, tree in _trees().items()
+               for node in _functions(tree)
+               if _calls(node, "self", "row") or _calls(node, "system", "row")}
+    assert readers == {("exact.py", "factors")}
+    system = SubstochasticSystem(ModelParams(12, 0.1), PrecisionConfig(60))
+    avalanche.duration_survival(system, 5)
+    assert not system._rows
 
 
 def test_row_view_keeps_the_traced_interface():
