@@ -101,9 +101,9 @@ class SubstochasticSystem:
         self.precision = precision or PrecisionConfig()
         self._int_rows: dict[tuple[int, int], list] = {}
         self._rows: dict[tuple[int, int], list] = {}
-        self._sums: dict[int, list[list]] = {}
-        self._factors: dict[int, list[list]] = {}
-        self._fixed: dict[int, tuple] = {}
+        self._factors: dict[int, tuple[list[list], list[list]]] = {}
+        self._fixed: dict[int, tuple[int, list[list[int]]]] = {}
+        self._inverse: dict[int, np.ndarray | None] = {}
 
     @property
     def n(self) -> int:
@@ -148,21 +148,20 @@ class SubstochasticSystem:
                 self._rows[key] = [mp.mpf(t) for t in self.int_row(i, digits)]
         return self._rows[key]
 
-    def factors(self, k: int, digits: int | None = None) -> list[list]:
-        """LU of [I-Q | tail] over states 1..K, some K >= k: row r holds
-        L(r, :r), U(r, r:K) and the reduced tail.  A smaller cached block
-        is refactored at least twice as large, so growing level by level
-        stays O(n^3); a block at a new digit count is at least as large
-        as any cached one, so a retry serves the levels its first try
-        served.  No step subtracts (Grassmann, Taksar and Heyman): off the
-        diagonal L, U <= 0, and pivot r is e(r) = a(r) - L(r, :r) e, a(r) =
-        Q(r, 0), plus the magnitudes of U's row r, as U 1 = L^-1 a = e."""
+    def factors(self, k: int, digits: int | None = None) -> tuple[list, list]:
+        """(lu, sums): LU of [I-Q | tail] over states 1..K, some K >= k, row
+        r holding L(r, :r), U(r, r:K) and the reduced tail; sums[r][j] is
+        minus reach level r+j+2's right-hand side at state r+1.  A smaller
+        block cached at these digits is refactored at least twice as
+        large, so growing level by level stays O(n^3).  No step subtracts
+        (Grassmann, Taksar and Heyman): off the diagonal L, U <= 0, and
+        pivot r is e(r) = a(r) - L(r, :r) e, a(r) = Q(r, 0), plus the
+        magnitudes of U's row r, as U 1 = L^-1 a = e."""
         digits = digits or self.precision.decimal_digits
-        lu = self._factors.get(digits, [])
-        if len(lu) >= k:
-            return lu
-        k = max(k, min(2 * len(lu), self.n - 1),
-                *(len(f) for f in self._factors.values()))
+        cached = self._factors.get(digits, ([], []))
+        if len(cached[0]) >= k:
+            return cached
+        k = max(k, min(2 * len(cached[0]), self.n - 1))
         lu, sums, minus_e = [], [], []
         with mp.workdps(digits + _GUARD_DIGITS):
             for r in range(k):
@@ -183,21 +182,20 @@ class SubstochasticSystem:
                 minus_e.append(-mp.fdot([full[0], *out[:r]], [1, *minus_e]))
                 out[r] = -(minus_e[-1] + tails[0])   # e(r) - U's row sum
                 lu.append(out)
-        self._sums[digits] = sums
-        self._factors[digits] = lu
-        return lu
+        self._factors[digits] = lu, sums
+        return self._factors[digits]
 
     def fixed_rows(self, digits: int | None = None) -> tuple[int, list]:
         """(P, rows): P the working bits plus 16, row i-1 the integers
         F(i, j) = floor(Q(i, j) 2**P) from the integer row, j = 1..n-i;
-        cached per digit count, where ``fixed_point_q`` adds an inverse."""
+        cached per digit count."""
         digits = digits or self.precision.decimal_digits
         if digits not in self._fixed:
             scale = _scale(digits)
             self._fixed[digits] = scale, [
                 _scaled(self.int_row(i, digits)[1:], scale)
                 for i in range(1, self.n)]
-        return self._fixed[digits][:2]
+        return self._fixed[digits]
 
     def fixed_point_q(self, digits: int | None = None
                       ) -> tuple[int, list[list[int]], np.ndarray | None]:
@@ -210,15 +208,15 @@ class SubstochasticSystem:
         the row's mass cancels."""
         digits = digits or self.precision.decimal_digits
         scale, rows = self.fixed_rows(digits)
-        if len(self._fixed[digits]) == 2:
+        if digits not in self._inverse:
             q, unit = np.zeros((self.n - 1, self.n - 1)), 1 << scale
             for i, row in enumerate(rows):
                 q[i, :len(row)] = [f / unit for f in row]
-            q[q < _TINY] = 0.0
+            np.copyto(q, 0.0, where=q < _TINY)
             exits = np.array([man / (1 << -exp) for man, exp in (
                 self.int_row(i, digits)[0] for i in range(1, self.n))])
-            self._fixed[digits] = scale, rows, _gth_inverse(q, exits)
-        return self._fixed[digits]
+            self._inverse[digits] = _gth_inverse(q, exits)
+        return scale, rows, self._inverse[digits]
 
 
 def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
@@ -257,8 +255,7 @@ def _gth_inverse(q: np.ndarray, exits: np.ndarray) -> np.ndarray | None:
     inverse = np.zeros_like(q)
     inverse[:reached, :reached] = x
     inverse[reached:, :reached] = rest @ x / d[:, None]
-    r = np.arange(reached, len(q))
-    inverse[r, r] = 1.0 / d
+    inverse[reached:].reshape(-1)[reached::len(q) + 1] = 1.0 / d
     return inverse if np.isfinite(inverse).all() else None
 
 
@@ -386,7 +383,7 @@ def _expectation(system: SubstochasticSystem, b: list[int],
         x = _refine(system, b, digits)
         if x is not None:
             return x
-        lu, y = system.factors(system.n - 1, digits), []
+        (lu, _), y = system.factors(system.n - 1, digits), []
         for row, bi in zip(lu, b):
             y.append(bi - mp.fdot(row, y))
         return _back(lu, y)
@@ -440,11 +437,12 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     An entry past 1 by at most the tolerance, a rounding, is clamped to
     1; one past it by more is refused.
     """
+    def solve(digits):
+        lu, sums = system.factors(m, digits)
+        return _back(lu, [-s[m - i - 1] for i, s in enumerate(sums[:m])])
+
     m = _states_below(system.n, j_level)
-    # factors fills _sums before they are read; factors(0) leaves it unset
-    h = _checked_solve(system, lambda digits: _back(
-        system.factors(m, digits), [-s[m - i - 1] for i, s in enumerate(
-            system._sums.get(digits, [])[:m])]), [0] * m)
+    h = _checked_solve(system, solve, [0] * m)
     if not all(0 <= v <= 1 for v in h):
         tol = system.precision.tol()
         # v - 1, not v > 1 + tol: at mpmath's default 53 bits 1 + tol is 1
@@ -502,17 +500,18 @@ def _checked_float_solve(q: np.ndarray, k: int, rhs: np.ndarray,
     slower at n >= 400; that moves no row of this row-dominant M-matrix
     by a resolvable amount (Higham, section 9.5).  It solves only the
     block over the states 1..K that a transition of the flushed Q can
-    enter (``_reached`` on Q >= _TINY), and I - Q is formed and flushed
-    only over those K columns: each later row r is x(r) = (rhs(r) +
-    Q(r, :K) x_K) / (I-Q)(r, r), with 1 - Q(r, r) 0 or at least 2**-53,
-    never flushed.  Near and above the transition I - Q can be too
-    ill-conditioned for float64: the solve then returns garbage,
-    negative values included.  Callers check their own invariants on
-    top."""
+    enter (``_reached`` on the mask Q >= _TINY), and I - Q is formed
+    once over those K columns from it: each later row r is x(r) =
+    (rhs(r) + Q(r, :K) x_K) / (I-Q)(r, r), with 1 - Q(r, r) 0 or at
+    least 2**-53, never flushed.  Near and above the transition I - Q
+    can be too ill-conditioned for float64: the solve then returns
+    garbage, negative values included.  Callers check their own
+    invariants on top."""
     q = q[:k, :k]   # k = 0 (a reach of level 1) is empty
-    reached = _reached(q >= _TINY)
-    a = np.eye(k, reached) - q[:, :reached]
-    a[np.abs(a) < _TINY] = 0.0
+    reached = _reached(kept := q >= _TINY)
+    a = np.negative(q[:, :reached], out=np.zeros((k, reached)),
+                    where=kept[:, :reached])
+    a[:reached].reshape(-1)[::reached + 1] += 1.0   # the diagonal
     x = np.linalg.solve(a[:reached], rhs[:reached])
     if reached < k:
         x = np.concatenate([x, (rhs[reached:] - a[reached:] @ x)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import cache, partial
 import operator
+import random
 import re
 
 import mpmath as mp
@@ -413,12 +414,33 @@ class TestFactorization:
         system = small_system(n, c, digits)
         tails = {i0: max_survival(system, i0, range(1, n + 2))
                  for i0 in (1, 3)}
-        assert [len(lu) for lu in system._factors.values()] == [n - 1]
+        assert [len(lu) for lu, _ in system._factors.values()] == [n - 1]
         for j_level in range(2, n + 1):
             h = reach_probability(small_system(n, c, digits), j_level)
             assert abs(tails[1][j_level - 1] - h[0]) < tol
             if j_level > 3:
                 assert abs(tails[3][j_level - 1] - h[2]) < tol
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("digits", [60, 400])
+    def test_max_survival_is_the_top_down_reach_in_any_order(self, n,
+                                                              digits):
+        # whatever the order of the levels, level 1 and levels past n
+        # included, max_survival gives bit for bit what reach_probability
+        # gives on a fresh system asked from the highest level down; a
+        # fresh system per level factors only the block below it, whose
+        # tail column rounds apart, so it agrees to the tolerance (above)
+        levels = list(range(1, n + 3))
+        orders = [levels, levels[::-1],
+                  random.Random(n).sample(levels, len(levels))]
+        fresh = small_system(n, 1.3, digits)
+        reach = {j: reach_probability(fresh, j) for j in range(n, 0, -1)}
+        assert [len(lu) for lu, _ in fresh._factors.values()] == [n - 1]
+        for order in orders:
+            for i0 in (1, 3):
+                got = max_survival(small_system(n, 1.3, digits), i0, order)
+                assert got == [reach[j][i0 - 1] if i0 < j <= n
+                               else mp.mpf(j <= i0) for j in order]
 
     def test_reach_matches_mpmath_lu_solve(self):
         n, digits, j_level = 24, 60, 10
@@ -465,14 +487,14 @@ class TestFactorization:
     def test_reach_factors_only_the_block_below_the_level(self):
         system = small_system(n=400, c=1.0)
         assert len(reach_probability(system, 40)) == 39
-        assert [len(lu) for lu in system._factors.values()] == [39]
+        assert [len(lu) for lu, _ in system._factors.values()] == [39]
         assert {i for i, _ in system._rows} == set(range(1, 40))
 
     def test_larger_level_refactors_at_least_twice_as_large(self):
         system = small_system(n=40, c=1.0)
         reach_probability(system, 6)
         reach_probability(system, 8)
-        assert len(system._factors[60]) == 10
+        assert len(system._factors[60][0]) == 10
 
 
 def _reach_12(system):
@@ -549,7 +571,7 @@ class TestPrecisionRetry:
         # state 35 here; e = L^-1 a, a(r) = Q(r, 0), bounds each from
         # below.  The residual gate still refuses E(T), at both tries.
         system = small_system(n=40, c=16, digits=50)
-        lu = system.factors(39)
+        lu, _ = system.factors(39)
         with mp.workdps(60):
             e = []
             for r, row in enumerate(lu):
@@ -626,7 +648,7 @@ class TestRefinement:
         system = small_system(n=100, c=3.0, digits=60)
         got = expected_duration(system)
         assert results == [None]
-        assert [len(lu) for lu in system._factors.values()] == [99]
+        assert [len(lu) for lu, _ in system._factors.values()] == [99]
         assert got == self.eliminated(monkeypatch, system, expected_duration)
         # the elimination is accurate to the working precision
         want = expected_duration(small_system(n=100, c=3.0, digits=120))
@@ -644,7 +666,7 @@ class TestRefinement:
                 calls.append(1)
                 return 0.5 * (inverse @ v)
 
-        system._fixed[60] = scale, rows, Half()
+        system._inverse[60] = Half()
         got = expected_duration(system)
         assert len(calls) == 2   # two passes running that stalled
         assert 60 in system._factors

@@ -1,13 +1,13 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one GTH elimination, one reached-block helper read by the two float
-kernels, one integer row builder for the exact tier, mpf rows read by
-the elimination alone, one lockstep engine, one mean-field iteration
-per deterministic table, random generators built only from a replicate
-key, scipy imported only inside the functions that use it, no
-pass-through layer left behind, no module reaching into a sibling's
-private names, no function, class or method that neither the CLI nor
-the public list reaches, and no parameter or dataclass field left
-unread."""
+kernels, no exact solve reading a system's private state, one integer
+row builder for the exact tier, mpf rows read by the elimination alone,
+one lockstep engine, one mean-field iteration per deterministic table,
+random generators built only from a replicate key, scipy imported only
+inside the functions that use it, no pass-through layer left behind, no
+module reaching into a sibling's private names, no function, class or
+method that neither the CLI nor the public list reaches, and no
+parameter or dataclass field left unread."""
 
 import ast
 import inspect
@@ -36,12 +36,15 @@ def _calls(tree, *chain):
 
 
 def test_one_float_solve_and_one_i_minus_q_both_in_exact():
+    # I - Q is formed once, as -Q over its kept entries plus 1 on the
+    # diagonal, by the function that holds the one float solve
     trees = _trees()
-    solves = {name: _calls(tree, "np", "linalg", "solve")
-              for name, tree in trees.items()}
-    eyes = {name: _calls(tree, "np", "eye") for name, tree in trees.items()}
-    assert {k: v for k, v in solves.items() if v} == {"exact.py": 1}
-    assert {k: v for k, v in eyes.items() if v} == {"exact.py": 1}
+    formed = {(name, node.name): (_calls(node, "np", "linalg", "solve"),
+                                  _calls(node, "np", "negative"))
+              for name, tree in trees.items() for node in _functions(tree)}
+    assert {k: v for k, v in formed.items() if any(v)} == {
+        ("exact.py", "_checked_float_solve"): (1, 1)}
+    assert not any(_calls(tree, "np", "eye") for tree in trees.values())
     assert not any("linalg" in ast.unparse(node)
                    for name, tree in trees.items() if name != "exact.py"
                    for node in ast.walk(tree)
@@ -67,6 +70,17 @@ def test_one_gth_elimination_read_only_by_fixed_point_q():
                if any(isinstance(ref, ast.Name) and ref.id == "_gth_inverse"
                       for ref in ast.walk(node))}
     assert readers == {("exact.py", "fixed_point_q")}
+
+
+def test_no_function_outside_the_system_reads_its_private_state():
+    # a system's caches are its own: every solve reaches them through
+    # its methods, so none depends on the order they fill them in
+    tree = _trees()["exact.py"]
+    readers = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               for ref in ast.walk(node) if isinstance(ref, ast.Attribute)
+               and ref.attr.startswith("_") and not ref.attr.endswith("__")}
+    assert not readers
 
 
 def test_reached_block_read_only_by_the_two_float_kernels():
