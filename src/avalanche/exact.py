@@ -13,7 +13,9 @@ the expectations refine on it with an exact residual, each correction
 one product with a cached float64 inverse of I-Q eliminated without
 subtraction from its float image.  Where that does not converge they,
 and every reach level, run on one cached LU of I-Q per chain, without
-pivoting and without subtraction.
+pivoting and without subtraction, in integer (mantissa, exponent) pairs
+at the working precision: each entry is one dot product summed exactly
+and rounded once.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many, each built on
@@ -28,8 +30,8 @@ K columns only.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, compress, repeat
 import math
 import operator
 
@@ -80,7 +82,8 @@ class SubstochasticSystem:
     Survival multiplies its fixed-point rows (`fixed_rows`); the
     expectations refine on them, each correction from the float64
     inverse of I-Q that `_gth_inverse` eliminates from them
-    (`fixed_point_q`); the elimination alone reads the mpf rows (`row`).
+    (`fixed_point_q`); the elimination alone reads `row`, the integer
+    rows rounded to the working precision.
     The reach solves, and the expectations where refinement fails, run
     on one cached factorization per digit count: the LU of I-Q over
     states 1..K plus a tail column, minus each row's mass above K.  Row
@@ -139,49 +142,69 @@ class SubstochasticSystem:
         return out
 
     def row(self, i: int, digits: int | None = None) -> list:
-        """Full kernel pmf row at state i over j = 0..n-i: the integer
-        row's terms as mpf at the working precision, for the elimination."""
+        """Full kernel pmf row at state i over j = 0..n-i, for the
+        elimination: the integer row's terms, each rounded once to the
+        working precision as mpf rounds them (`_round`)."""
         digits = digits or self.precision.decimal_digits
         key = (i, digits)
         if key not in self._rows:
-            with mp.workdps(digits + _GUARD_DIGITS):
-                self._rows[key] = [mp.mpf(t) for t in self.int_row(i, digits)]
+            prec = _prec(digits)
+            self._rows[key] = [_round(man, exp, prec)
+                               for man, exp in self.int_row(i, digits)]
         return self._rows[key]
 
     def factors(self, k: int, digits: int | None = None) -> tuple[list, list]:
         """(lu, sums): LU of [I-Q | tail] over states 1..K, some K >= k, row
-        r holding L(r, :r), U(r, r:K) and the reduced tail; sums[r][j] is
-        minus reach level r+j+2's right-hand side at state r+1.  A smaller
-        block cached at these digits is refactored at least twice as
-        large, so growing level by level stays O(n^3).  No step subtracts
-        (Grassmann, Taksar and Heyman): off the diagonal L, U <= 0, and
-        pivot r is e(r) = a(r) - L(r, :r) e, a(r) = Q(r, 0), plus the
-        magnitudes of U's row r, as U 1 = L^-1 a = e."""
+        r holding the magnitudes of L(r, :r), U(r, r:K) and the reduced
+        tail as (man, exp) pairs; sums[r][j] is reach level r+j+2's
+        right-hand side at state r+1.  A smaller block cached at these
+        digits is refactored at least twice as large, so growing level by
+        level stays O(n^3).  No step subtracts (Grassmann, Taksar and
+        Heyman): off the diagonal L, U <= 0, so every entry is a sum of
+        terms >= 0, and pivot r is e(r) = a(r) + |L(r, :r)| e, a(r) =
+        Q(r, 0), plus the magnitudes of U's row r, as U 1 = L^-1 a = e.
+        Each entry is one dot product, summed exactly over integer
+        products (`_dot`) and rounded once; an L entry is rounded as that
+        exact sum divided by its pivot (`_div`)."""
         digits = digits or self.precision.decimal_digits
         cached = self._factors.get(digits, ([], []))
         if len(cached[0]) >= k:
             return cached
         k = max(k, min(2 * len(cached[0]), self.n - 1))
-        lu, sums, minus_e = [], [], []
-        with mp.workdps(digits + _GUARD_DIGITS):
-            for r in range(k):
-                full = self.row(r + 1, digits)
-                a = [-v for v in full[1:k + 1]]
-                a += [mp.mpf(0)] * (k - len(a)) + [-mp.fsum(full[k + 1:])]
-                out = []   # Doolittle: L(r, j) for j < r, then U(r, j)
-                for j in range(k + 1):
-                    v = 0 if j == r else a[j] - mp.fdot(
-                        out[:r], (u[j] for u in lu))
-                    out.append(v / lu[j][j] if j < r else v)
-                # U's row summed exactly from each column j > r on, tail
-                # included: the reach sums round it once, as mp.fsum does
-                tails = [*accumulate(reversed(out[r + 1:]),
-                                     partial(mp.fadd, exact=True))][::-1]
-                sums.append([+v for v in tails])
-                # e(r) from a(r) and L(r, j) * -e(j), all >= 0
-                minus_e.append(-mp.fdot([full[0], *out[:r]], [1, *minus_e]))
-                out[r] = -(minus_e[-1] + tails[0])   # e(r) - U's row sum
-                lu.append(out)
+        prec = _prec(digits)
+        one = _round(1, 0, prec)
+        # columns 0..K of U above the diagonal (K the tail), then e, as
+        # mantissa and exponent lists; slot 0 holds row r's own entry,
+        # which the 1 leading the row's L picks
+        cols = [([0], [0]) for _ in range(k + 2)]
+        lu, sums = [], []
+        for r in range(k):
+            full = self.row(r + 1, digits)
+            # row r of [Q | mass above K | Q(:, 0)]
+            rest = full[k + 1:]
+            entries = full[1:k + 1] + [(0, 0)] * (k + 1 - len(full)) + [
+                _round(*_sum([m for m, _ in rest], [e for _, e in rest],
+                             prec), prec), full[0]]
+            for (cm, ce), (m, e) in zip(cols, entries):
+                cm[0], ce[0] = m, e
+            lm, le = [one[0]], [one[1]]
+            for j in range(r):   # |L(r, j)|
+                m, e = _div(_dot(lm, le, *cols[j], prec), lu[j][j], prec)
+                lm.append(m)
+                le.append(e)
+            u = []   # |U(r, j)| for j > r, the tail, then e(r)
+            for cm, ce in cols[r + 1:]:
+                m, e = _round(*_dot(lm, le, cm, ce, prec), prec)
+                cm.append(m)
+                ce.append(e)
+                u.append((m, e))
+            *u, e_r = u
+            # U's row summed exactly from each column j > r on, tail
+            # included: the reach sums round it once
+            tails = [*accumulate(reversed(u), _add)][::-1]
+            sums.append([_round(*t, prec) for t in tails])
+            lu.append([*zip(lm[1:], le[1:]),
+                       _round(*_add(e_r, tails[0]), prec), *u])
         self._factors[digits] = lu, sums
         return self._factors[digits]
 
@@ -273,9 +296,14 @@ def _reached(m: np.ndarray) -> int:
     return int(cols[-1]) + 1 if cols.size else 0
 
 
+def _prec(digits: int) -> int:
+    """The working bits at ``digits`` digits."""
+    return mp.libmp.dps_to_prec(digits + _GUARD_DIGITS)
+
+
 def _scale(digits: int) -> int:
     """P: the working bits at ``digits`` digits plus 16."""
-    return mp.libmp.dps_to_prec(digits + _GUARD_DIGITS) + 16
+    return _prec(digits) + 16
 
 
 def _scaled(terms: list, s: int) -> list[int]:
@@ -318,11 +346,90 @@ def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
         f"{digits // 2} digits (n={system.n}, p={system.params.p})")
 
 
-def _back(lu: list[list], x: list) -> list:
-    """Back substitution U x = y in place on the leading len(x) states."""
-    for i in range(len(x) - 1, -1, -1):
-        x[i] = (x[i] - mp.fdot(lu[i][i + 1:len(x)], x[i + 1:])) / lu[i][i]
-    return x
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp >= 0 to nearest, ties to even, as mpf rounds: (m, e)
+    with m exactly prec bits long, or (0, 0)."""
+    s = man.bit_length() - prec
+    if s <= 0:
+        return (man << -s, exp + s) if man else (0, 0)
+    m, half = man >> s, 1 << (s - 1)
+    rest = man & (2 * half - 1)
+    if rest > half or rest == half and m & 1:
+        m += 1
+        if m >> prec:   # carried into bit prec
+            return m >> 1, exp + s + 1
+    return m, exp + s
+
+
+def _sum(mans: list[int], exps, prec: int) -> tuple[int, int]:
+    """The terms man * 2**exp >= 0, their nonzero mantissas of one length,
+    summed exactly as (man, exp) over those within 2 prec bits of the
+    largest: as in mpmath's mpf_sum, the rest move the sum by under n
+    2**(2 - 2 prec) relative, and cannot make a far tail entry build an
+    integer much longer than the working precision."""
+    exps = list(compress(exps, mans))
+    if not exps:
+        return 0, 0
+    mans, top, low = [*compress(mans, mans)], max(exps), min(exps)
+    if low < top - 2 * prec:
+        mans, exps = zip(*[t for t in zip(mans, exps)
+                           if t[1] >= top - 2 * prec])
+        low = min(exps)
+    return sum(map(operator.lshift, mans,
+                   map(operator.sub, exps, repeat(low)))), low
+
+
+def _dot(xm, xe, ym, ye, prec: int) -> tuple[int, int]:
+    """sum x y over paired entries >= 0 given as mantissa and exponent
+    lists, each prec bits long: ``_sum`` of the exact products."""
+    return _sum([*map(operator.mul, xm, ym)], map(operator.add, xe, ye),
+                prec)
+
+
+def _div(num: tuple[int, int], den: tuple[int, int],
+         prec: int) -> tuple[int, int]:
+    """num / den for pairs num >= 0 < den, correctly rounded: the
+    quotient has at least prec + 2 bits, and a remainder sets the bit
+    below it, which decides only a tie."""
+    (nm, ne), (dm, de) = num, den
+    s = max(prec + 2 + dm.bit_length() - nm.bit_length(), 0)
+    q, r = divmod(nm << s, dm)
+    return _round(q << 1 | (r > 0), ne - de - s - 1, prec)
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y exactly, for (man, exp) pairs."""
+    (xm, xe), (ym, ye) = x, y
+    if xe > ye:
+        return ym + (xm << xe - ye), ye
+    return xm + (ym << ye - xe), xe
+
+
+def _forward(lu: list[list], b: list[int], prec: int) -> list:
+    """L y = b for integers b >= 0 on the leading len(b) states: y(r) =
+    b(r) + |L(r, :r)| y, one dot each, b(r) taken by a trailing 1."""
+    one, ym, ye = _round(1, 0, prec), [], []
+    for r, (row, bi) in enumerate(zip(lu, b)):
+        m, e = _round(bi, 0, prec)
+        ym.append(m)
+        ye.append(e)
+        ym[-1], ye[-1] = _round(*_dot(*zip(*row[:r], one), ym, ye, prec),
+                                prec)
+    return [*zip(ym, ye)]
+
+
+def _back(lu: list[list], y: list, prec: int) -> list:
+    """U x = y >= 0 on the leading len(y) states, from the last: x(i) =
+    (y(i) + |U(i, i+1:)| x(i+1:)) / U(i, i), one dot each, y(i) taken by
+    a trailing 1, rounded once by the division."""
+    one, xm, xe = _round(1, 0, prec), [], []   # x from the last state
+    for i in range(len(y) - 1, -1, -1):
+        row = lu[i]
+        xm.append(y[i][0])
+        xe.append(y[i][1])
+        xm[-1], xe[-1] = _div(_dot(*zip(*row[len(y) - 1:i:-1], one), xm, xe,
+                                   prec), row[i], prec)
+    return [*zip(reversed(xm), reversed(xe))]
 
 
 # a refinement pass must cut the residual by this many bits; two
@@ -383,10 +490,8 @@ def _expectation(system: SubstochasticSystem, b: list[int],
         x = _refine(system, b, digits)
         if x is not None:
             return x
-        (lu, _), y = system.factors(system.n - 1, digits), []
-        for row, bi in zip(lu, b):
-            y.append(bi - mp.fdot(row, y))
-        return _back(lu, y)
+        (lu, _), prec = system.factors(system.n - 1, digits), _prec(digits)
+        return [mp.mpf(t) for t in _back(lu, _forward(lu, b, prec), prec)]
 
     x = _checked_solve(system, solve, b)
     if any(v < bi for v, bi in zip(x, b)):
@@ -432,14 +537,16 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
 
     Restricts the linear system to the transient states below the
     level; for i >= j_level the probability is 1 by definition.  The
-    reduced right-hand side is minus the U rows' sums over columns >=
-    j_level and the tail, all <= 0 as I-Q is an M-matrix: no cancellation.
+    reduced right-hand side is U's row magnitudes summed over columns >=
+    j_level and the tail (``factors``' sums), >= 0 as I-Q is an
+    M-matrix: no cancellation.
     An entry past 1 by at most the tolerance, a rounding, is clamped to
     1; one past it by more is refused.
     """
     def solve(digits):
         lu, sums = system.factors(m, digits)
-        return _back(lu, [-s[m - i - 1] for i, s in enumerate(sums[:m])])
+        return [mp.mpf(t) for t in _back(
+            lu, [s[m - i - 1] for i, s in enumerate(sums[:m])], _prec(digits))]
 
     m = _states_below(system.n, j_level)
     h = _checked_solve(system, solve, [0] * m)

@@ -94,8 +94,12 @@ def kernel_rows(params: ModelParams, states, width: int | None = None,
     from scipy.special import gammaln
     n = params.n
     states = np.asarray(states, dtype=np.int64)
-    listed = states.tolist()
-    s = np.array([excite_probability(params, i) for i in listed])
+    outside = (states < 0) | (states > n)
+    if outside.any():
+        raise ValueError(f"state i={states[outside][0]} outside [0, {n}]")
+    listed, log_q = states.tolist(), math.log1p(-params.p)
+    # excite_probability's arithmetic, its state check made once above
+    s = np.array([-math.expm1(i * log_q) for i in listed])
     width = n + 1 if width is None else width
     # lg[t] = log(t!) at every t the grid reads: t < width, and t >= lo,
     # the least n - i - j >= 0
@@ -103,7 +107,7 @@ def kernel_rows(params: ModelParams, states, width: int | None = None,
     lg = np.zeros(n + 1)
     lg[:min(lo, width)] = gammaln(np.arange(min(lo, width)) + 1.0)
     lg[lo:] = gammaln(np.arange(lo, n + 1) + 1.0)
-    logq = (states * math.log1p(-params.p))[:, None]   # log(q**i)
+    logq = (states * log_q)[:, None]   # log(q**i)
     rows = np.zeros((len(states), width - first))
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(s)[:, None]

@@ -27,6 +27,12 @@ def small_system(n=20, c=0.9, digits=60):
     return SubstochasticSystem(params, PrecisionConfig(digits))
 
 
+def mpf_row(system, i, digits=None):
+    """The elimination's row as mpf, exact at its working precision or
+    above (a (man, exp) pair converts at the caller's)."""
+    return [mp.mpf(t) for t in system.row(i, digits)]
+
+
 class TestPrecisionConfig:
     def test_default_tolerance(self):
         cfg = PrecisionConfig(100)
@@ -65,7 +71,7 @@ class TestRows:
         params = system.params
         for i in range(1, 20):
             ref = kernel_row(params, i)
-            row = system.row(i)
+            row = mpf_row(system, i)
             assert len(row) == 20 - i + 1
             for j, v in enumerate(row):
                 assert float(v) == pytest.approx(ref[j], rel=1e-11,
@@ -75,7 +81,7 @@ class TestRows:
         system = small_system(n=30, c=1.4)
         with mp.workdps(70):
             for i in (1, 7, 29):
-                total = mp.fsum(system.row(i))
+                total = mp.fsum(mpf_row(system, i))
                 assert abs(total - 1) < mp.mpf(10) ** -55
 
     def test_row_caching(self):
@@ -125,7 +131,8 @@ class TestIntegerRows:
     def test_row_rounds_the_integer_row(self):
         system = small_system(n=30, c=1.3)
         with mp.workdps(70):
-            assert system.row(4) == [mp.mpf(t) for t in system.int_row(4)]
+            assert mpf_row(system, 4) == [mp.mpf(t)
+                                          for t in system.int_row(4)]
 
     def test_reach_keeps_the_tail_mass(self):
         # at n=100, c=3 all of h(1) = 1.57e-76 for level 95 flows through
@@ -138,6 +145,35 @@ class TestIntegerRows:
             SubstochasticSystem(params, PrecisionConfig(100)), 95)[0]
         assert 1e-77 < want < 1e-75
         assert abs(got - want) < 1e-30 * want
+
+
+class TestIntegerArithmetic:
+    """The elimination's pairs round as mpf does."""
+
+    @pytest.mark.parametrize("prec", [53, 236, 1365])
+    def test_round_and_divide_are_mpfs_to_nearest(self, prec):
+        # random mantissas of up to 3 prec bits, a third cut to a tie or
+        # one past it; the pairs are exactly prec bits long
+        rng = random.Random(prec)
+        libmp = mp.libmp
+        with mp.workprec(4 * prec):
+            for _ in range(300):
+                bits = rng.randrange(1, 3 * prec)
+                man, exp = rng.getrandbits(bits) | 1 << (bits - 1), \
+                    rng.randrange(-3000, 3000)
+                if bits > prec + 1 and rng.random() < 0.3:
+                    s = bits - prec
+                    man = man >> s << s | 1 << (s - 1) | rng.randrange(2)
+                den = (rng.getrandbits(prec) | 1 << (prec - 1),
+                       rng.randrange(-300, 300))
+                for got, want in (
+                        (exact._round(man, exp, prec),
+                         libmp.from_man_exp(man, exp, prec, "n")),
+                        (exact._div((man, exp), den, prec), libmp.mpf_div(
+                            libmp.from_man_exp(man, exp),
+                            libmp.from_man_exp(*den), prec, "n"))):
+                    assert got[0].bit_length() == prec
+                    assert mp.mpf(got) == mp.mpf(want)
 
 
 def _reach_20(system):
@@ -153,8 +189,8 @@ class TestResidualGate:
         """max_i |x(i) - (Qx)(i) - b(i)| on rows at twice the digits."""
         xs = x + [1] * (system.n - 1 - len(x))
         with mp.workdps(2 * digits + 10):
-            return max(abs(xi - bi - mp.fdot(system.row(i, 2 * digits)[1:],
-                                             xs))
+            return max(abs(xi - bi - mp.fdot(
+                mpf_row(system, i, 2 * digits)[1:], xs))
                        for i, (xi, bi) in enumerate(zip(x, b), start=1))
 
     def test_bounds_the_mpf_residual_at_twice_the_digits(self):
@@ -247,15 +283,69 @@ class TestSolves:
 
 
 @cache
+def _rational_rows(n, c):
+    """The exact kernel's rows over j = 0..n at states 1..n-1."""
+    params = ModelParams.from_intensity(n, c)
+    return [[kernel_pmf_exact(params, i, j) for j in range(n + 1)]
+            for i in range(1, n)]
+
+
+@cache
 def _rational_survival(n, c, m_max):
     """Q^m 1 for m = 0..m_max in Fractions on the exact kernel."""
-    params = ModelParams.from_intensity(n, c)
-    q = [[kernel_pmf_exact(params, i, j) for j in range(1, n)]
-         for i in range(1, n)]
+    q = [row[1:n] for row in _rational_rows(n, c)]
     out = [[Fraction(1)] * (n - 1)]
     for _ in range(m_max):
         out.append([sum(map(operator.mul, row, out[-1])) for row in q])
     return out
+
+
+@cache
+def _rational_reach(n, c):
+    """P(max >= J | X_0 = 1) for J = 1..n+1 in Fractions on the exact
+    kernel: per level, GTH state reduction of the states below it, from
+    the highest down to state 1, each pivot the eliminated state's mass
+    to 0, to the level or above and to the states left."""
+    rows, out = _rational_rows(n, c), [Fraction(1)]
+    for level in range(2, n + 1):
+        m = level - 1
+        q = [row[1:level] for row in rows[:m]]
+        hit = [sum(row[level:]) for row in rows[:m]]
+        miss = [row[0] for row in rows[:m]]
+        for k in range(m - 1, 0, -1):
+            pivot = hit[k] + miss[k] + sum(q[k][:k])
+            for i in range(k):
+                w = q[i][k] / pivot
+                hit[i] += w * hit[k]
+                miss[i] += w * miss[k]
+                for j in range(k):
+                    q[i][j] += w * q[k][j]
+        out.append(hit[0] / (hit[0] + miss[0]))
+    return out + [Fraction(0)]
+
+
+class TestRationalReach:
+    """Reach from the elimination against GTH in exact arithmetic."""
+
+    @pytest.mark.parametrize("digits", [60, 400])
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("c", [0.5, 1.3, 4.0])
+    def test_within_ten_digits_of_working_precision(self, c, n, digits):
+        # max_survival reads every level off the full block, whose tail
+        # is 0; a fresh system per level factors the block below it, tail
+        # column included
+        def exact_value(v):
+            man, exp = v.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+
+        want, tol = _rational_reach(n, c), Fraction(10) ** (10 - digits)
+        levels = max_survival(small_system(n, c, digits), 1, range(1, n + 2))
+        fresh = [reach_probability(small_system(n, c, digits), level)[0]
+                 for level in range(2, n + 1)]
+        for got, oracle in ((levels, want), (fresh, want[1:n])):
+            assert len(got) == len(oracle)
+            assert all(abs(exact_value(a) - b) <= tol * b
+                       for a, b in zip(got, oracle))
 
 
 class TestSurvival:
@@ -451,7 +541,7 @@ class TestFactorization:
             a = mp.matrix(j_level - 1)
             b = mp.matrix(j_level - 1, 1)
             for i in range(1, j_level):
-                row = system.row(i)
+                row = mpf_row(system, i)
                 for j in range(1, j_level):
                     a[i - 1, j - 1] = (i == j) - (row[j] if j < len(row)
                                                   else 0)
@@ -574,9 +664,12 @@ class TestPrecisionRetry:
         lu, _ = system.factors(39)
         with mp.workdps(60):
             e = []
-            for r, row in enumerate(lu):
-                e.append(system.row(r + 1)[0] - mp.fdot(row[:r], e))
-                assert row[r] >= e[r] >= system.row(r + 1)[0] > 0
+            for r, pairs in enumerate(lu):
+                # the factors hold magnitudes: L(r, :r) <= 0
+                row, exit_rate = [mp.mpf(t) for t in pairs], mpf_row(
+                    system, r + 1)[0]
+                e.append(exit_rate - mp.fdot([-v for v in row[:r]], e))
+                assert row[r] >= e[r] >= exit_rate > 0
         with pytest.raises(ArithmeticError, match="residual above tolerance "
                            "even after raising precision to 100 digits"):
             expected_duration(small_system(n=40, c=16, digits=50))

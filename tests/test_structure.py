@@ -1,13 +1,14 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one GTH elimination, one reached-block helper read by the two float
 kernels, no exact solve reading a system's private state, one integer
-row builder for the exact tier, mpf rows read by the elimination alone,
-one lockstep engine, one mean-field iteration per deterministic table,
-random generators built only from a replicate key, scipy imported only
-inside the functions that use it, no pass-through layer left behind, no
-module reaching into a sibling's private names, no function, class or
-method that neither the CLI nor the public list reaches, and no
-parameter or dataclass field left unread."""
+row builder for the exact tier, an elimination that alone reads the
+rounded rows and runs on integers, one lockstep engine, one mean-field
+iteration per deterministic table, random generators built only from a
+replicate key, scipy imported only inside the functions that use it, no
+pass-through layer left behind, no module reaching into a sibling's
+private names, no function, class or method that neither the CLI nor
+the public list reaches, and no parameter or dataclass field left
+unread."""
 
 import ast
 import inspect
@@ -140,22 +141,32 @@ def test_one_integer_row_builder_in_exact():
     functions = {node.name: node for node in _functions(_trees()["exact.py"])}
     assert [name for name, node in functions.items()
             if _forms_binomial_terms(node)] == ["int_row"]
-    # the mpf view, the fixed-point rows and the residual gate read it
+    # the rounded view, the fixed-point rows and the residual gate read it
     for name in ("row", "fixed_point_q", "_residual_inf"):
         assert (_calls(functions[name], "self", "int_row")
                 + _calls(functions[name], "system", "int_row")), name
     # the reach right-hand sides come from sums formed once per
     # factorization, not from a sum over factor rows per level
     assert [name for name, node in functions.items()
-            if _calls(node, "mp", "fsum")] == ["factors"]
+            if _calls(node, "accumulate")] == ["factors"]
 
 
-def test_mpf_rows_read_only_by_the_elimination():
-    # survival multiplies the fixed-point rows: no mpf row is built for it
+def test_elimination_runs_on_integers():
+    # factors alone reads the rounded rows, and it, both substitutions
+    # and their arithmetic touch no mpmath name: the solves turn the
+    # (man, exp) pairs into mpf at their boundary.  Survival multiplies
+    # the fixed-point rows: no rounded row is built for it
     readers = {(name, node.name) for name, tree in _trees().items()
                for node in _functions(tree)
                if _calls(node, "self", "row") or _calls(node, "system", "row")}
     assert readers == {("exact.py", "factors")}
+    kernel = ("factors", "_back", "_forward", "_dot", "_sum", "_div",
+              "_round", "_add")
+    reads_mp = {node.name: any(isinstance(ref, ast.Name) and ref.id == "mp"
+                               for ref in ast.walk(node))
+                for node in _functions(_trees()["exact.py"])
+                if node.name in kernel}
+    assert reads_mp == dict.fromkeys(kernel, False)
     system = SubstochasticSystem(ModelParams(12, 0.1), PrecisionConfig(60))
     avalanche.duration_survival(system, 5)
     assert not system._rows
