@@ -8,8 +8,12 @@ restrict the system to the states below the target level.
 
 The mpf tier runs in arbitrary precision (default 400 decimal digits)
 on integer kernel rows, each solve with an integer residual gate.
-Survival multiplies their fixed-point image floor(Q 2**P) in integers;
-the expectations refine on it with an exact residual, each correction
+Survival multiplies their fixed-point image floor(Q 2**P) in integers,
+each product F v on float64 BLAS over 16-bit limbs (``_limb_products``):
+every partial sum is an integer below 2**53 at n <= MAX_EXACT_N,
+whatever the summation order, so each value is the integer product's
+bit for bit.  The limb copy of F is built per call, not cached.
+The expectations refine on F with an exact residual, each correction
 one product with a cached float64 inverse of I-Q eliminated without
 subtraction from its float image.  Where that does not converge they,
 and every reach level, run on one cached LU of I-Q per chain, without
@@ -509,18 +513,96 @@ def expected_size(system: SubstochasticSystem) -> list:
     return _expectation(system, list(range(1, system.n)), "expected size")
 
 
+_LIMB_ROWS = 32   # rows of F per GEMM
+_LIMB_SHIFTS = 8  # limb shifts of v per Toeplitz copy
+
+
+def _limb_products(rows: list[list[int]], bits: int):
+    """v -> [sum(row * v) for row in rows], exactly, for integers in [0,
+    2**bits), each row no longer than v, on float64 BLAS.
+
+    Every integer is split into L 16-bit limbs (L a multiple of K =
+    _LIMB_SHIFTS), so a row's sum is sum_s c(s) 2**(16 s) with c(s) the
+    limb convolution sum_j sum_{a+b=s} F(j, a) v(j, b).  Blocks of
+    _LIMB_ROWS rows, each over its own width W, take their limbs a = K g +
+    k as rows (row, g) and columns (j, k) of one matrix, multiplied by
+    the Toeplitz copy T((j, k), t) = v(j, t-k): entry (row, g, t) is the
+    part of c(K g + t) from limbs K g..K g+K-1, summed over W K products
+    below 2**32, an integer below 2**53 for W < 2**18 (n <= MAX_EXACT_N
+    keeps W < 2**11), so exact in float64 whatever the summation order
+    (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The L/K
+    shifted parts add in int64, each row's c is rebuilt from its four
+    16-bit slices by ``int.from_bytes``.  The limb copy of the rows is
+    built here, once per returned function, and lives as long as it."""
+    limbs = -(-bits // (16 * _LIMB_SHIFTS)) * _LIMB_SHIFTS
+    size, groups = 2 * limbs, limbs // _LIMB_SHIFTS
+    span = limbs + _LIMB_SHIFTS - 1   # the columns of T
+
+    def split(values, width):
+        """The little-endian limbs of ``values``, padded with zero limbs
+        to ``width`` values."""
+        return b"".join(map(int.to_bytes, values, repeat(size),
+                            repeat("little"))) + bytes(
+                                size * (width - len(values)))
+
+    blocks = []
+    for start in range(0, len(rows), _LIMB_ROWS):
+        block = rows[start:start + _LIMB_ROWS]
+        width = max(map(len, block))
+        f = np.frombuffer(b"".join(split(row, width) for row in block),
+                          "<u2").reshape(len(block), width, groups,
+                                         _LIMB_SHIFTS)
+        blocks.append((width, f.transpose(0, 2, 1, 3).astype(float).reshape(
+            len(block) * groups, width * _LIMB_SHIFTS)))
+
+    def product(v: list[int]) -> list[int]:
+        t = np.zeros((len(v), _LIMB_SHIFTS, span))
+        limbs_v = np.frombuffer(split(v, len(v)), "<u2").reshape(-1, limbs)
+        for k in range(_LIMB_SHIFTS):
+            t[:, k, k:k + limbs] = limbs_v
+        t = t.reshape(len(v) * _LIMB_SHIFTS, span)
+        out = []
+        for width, f in blocks:
+            parts = (f @ t[:width * _LIMB_SHIFTS]).astype("<i8").reshape(
+                -1, groups, span)
+            c = np.zeros((len(parts), size), "<i8")
+            for g in range(groups):
+                c[:, g * _LIMB_SHIFTS:g * _LIMB_SHIFTS + span] += parts[:, g]
+            # c(s) >= 0 below 2**63: slice h of a row holds bits 16h..16h+15
+            # of each c(s), and the row's sum is sum_h slice_h 2**(16 h)
+            raw = c.view("<u2").reshape(-1, size, 4).transpose(
+                0, 2, 1).tobytes()
+            step = 2 * size   # the bytes of one slice
+            for r in range(len(c)):
+                row = raw[4 * r * step:4 * (r + 1) * step]
+                out.append(sum(int.from_bytes(
+                    row[h * step:(h + 1) * step], "little") << 16 * h
+                    for h in range(4)))
+        return out
+
+    return product
+
+
 def duration_survival(system: SubstochasticSystem, m: int) -> list:
     """P(T > m | X_0 = i) for i = 1..n-1 in integers v at scale 2**P: from
     v = 2**P, m times v = F v >> P on ``fixed_rows``' F = floor(Q 2**P),
     returned exactly as mpf.  Each is within m (n+1) 2**-P of Q^m 1,
     absolute (2**-P per entry of F and per shift, on v <= 1), in [0, 1]
-    and nonincreasing in m across calls: F 1 <= 2**P; floors keep order."""
+    and nonincreasing in m across calls: F 1 <= 2**P; floors keep order.
+    The first product is F's row sums; every later F v runs on float64
+    BLAS over 16-bit limbs (``_limb_products``), exact as each partial
+    sum is an integer below 2**53 at n <= MAX_EXACT_N, whatever the
+    order, so every value is the integer product's.  The limb copy of F,
+    about 5 MB at n=100 and 400 digits, is built per call and never
+    cached on the system."""
     if m < 0:
         raise ValueError(f"horizon must be >= 0, got {m}")
     scale, rows = system.fixed_rows()
     v = [sum(row) for row in rows] if m else [1 << scale] * (system.n - 1)
-    for _ in range(m - 1):
-        v = [sum(map(operator.mul, row, v)) >> scale for row in rows]
+    if m > 1:
+        product = _limb_products(rows, scale + 1)   # v <= 2**P
+        for _ in range(m - 1):
+            v = [x >> scale for x in product(v)]
     with mp.workprec(scale + 1):
         return [mp.mpf((x, -scale)) for x in v]
 
@@ -542,6 +624,10 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     M-matrix: no cancellation.
     An entry past 1 by at most the tolerance, a rounding, is clamped to
     1; one past it by more is refused.
+    The last bits can depend on which block the system factored before:
+    a level solved on the block below it and on a larger cached block
+    rounds the tail column of [I-Q | tail] differently, so the two agree
+    within the tolerance but not always bit for bit.
     """
     def solve(digits):
         lu, sums = system.factors(m, digits)
@@ -564,7 +650,10 @@ def max_survival(system: SubstochasticSystem, i0: int,
     """P(max_k X_k >= J | X_0 = i0) for each J in ``levels``, all from
     one factorization at the highest level solved: that level is solved
     first, retried at twice the digits as every solve is, and the levels
-    below read its factors."""
+    below read its factors.  A level's last bits can therefore differ
+    from a solve of that level alone on a fresh system, which factors
+    only the block below it (``reach_probability``), always within the
+    tolerance."""
     if not 1 <= i0 <= system.n - 1:
         raise ValueError(f"need 1 <= i0 <= n-1, got {i0}")
     levels = list(levels)

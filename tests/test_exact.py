@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache, partial
+import hashlib
 import operator
 import random
 import re
@@ -398,6 +399,52 @@ class TestSurvival:
             for a, e in zip(acc, et):
                 # the truncated geometric tail caps the agreement
                 assert abs(a - e) < mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("n, m, digest", [
+        (100, 6, "f9ba8e9817bea916"), (40, 8, "189e5a98aea1de0a")])
+    def test_values_are_pinned(self, n, m, digest):
+        # the (man, exp) pairs of the integer products F v >> P, recorded
+        # on the Python-int product: any other product path gives them
+        # bit for bit
+        pairs = [v.man_exp for v in duration_survival(
+            small_system(n, 1.0, 400), m)]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] \
+            == digest
+
+
+def _int_products(rows, v):
+    return [sum(map(operator.mul, row, v)) for row in rows]
+
+
+class TestLimbProducts:
+    """The float64 limb GEMM against Python-int products."""
+
+    @pytest.mark.parametrize("digits", [60, 400, 800])
+    @pytest.mark.parametrize("width", [1, 2, 7, 99, MAX_EXACT_N - 1])
+    def test_worst_case_limbs_are_exact(self, width, digits):
+        # F = 2**P - 1, every limb below bit P 0xffff, times the largest
+        # v, 2**P, and times v = F: with 0xffff limbs on both sides each
+        # GEMM entry sums width K products of (2**16 - 1)**2, the largest
+        # it can, so a BLAS that rounded would show here, and at width
+        # 1999 the limb sums reach the top 16-bit slice
+        scale = exact._scale(digits)
+        rows = [[(1 << scale) - 1] * width]
+        product = exact._limb_products(rows, scale + 1)
+        for v in ([1 << scale] * width, rows[0]):
+            assert product(v) == _int_products(rows, v)
+
+    @pytest.mark.parametrize("bits", [1, 16, 17, 253, 1382])
+    def test_ragged_rows_are_exact(self, bits):
+        # rows of any length up to v's, empty ones included, over more
+        # than one block of rows, each entry of its own length
+        rng = random.Random(bits)
+        rows = [[rng.getrandbits(rng.randint(1, bits))
+                 for _ in range(rng.randint(0, 45))] for _ in range(75)]
+        v = [rng.getrandbits(bits) for _ in range(45)]
+        product = exact._limb_products(rows, bits)
+        assert product(v) == _int_products(rows, v)
+        v = v[::-1]   # one limb copy serves every v
+        assert product(v) == _int_products(rows, v)
 
 
 class TestReachAndMax:

@@ -2,13 +2,13 @@
 one GTH elimination, one reached-block helper read by the two float
 kernels, no exact solve reading a system's private state, one integer
 row builder for the exact tier, an elimination that alone reads the
-rounded rows and runs on integers, one lockstep engine, one mean-field
-iteration per deterministic table, random generators built only from a
-replicate key, scipy imported only inside the functions that use it, no
-pass-through layer left behind, no module reaching into a sibling's
-private names, no function, class or method that neither the CLI nor
-the public list reaches, and no parameter or dataclass field left
-unread."""
+rounded rows and runs on integers, survival products on the limb GEMM
+alone, one lockstep engine, one mean-field iteration per deterministic
+table, random generators built only from a replicate key, scipy
+imported only inside the functions that use it, no pass-through layer
+left behind, no module reaching into a sibling's private names, no
+function, class or method that neither the CLI nor the public list
+reaches, and no parameter or dataclass field left unread."""
 
 import ast
 import inspect
@@ -26,13 +26,16 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _dotted(node):
+    """The attribute chain of a name, e.g. ("np", "linalg", "solve")."""
+    if isinstance(node, ast.Attribute):
+        return _dotted(node.value) + (node.attr,)
+    return (node.id,) if isinstance(node, ast.Name) else ()
+
+
 def _calls(tree, *chain):
     """Calls whose callee is the attribute chain, e.g. np.linalg.solve."""
-    def dotted(node):
-        if isinstance(node, ast.Attribute):
-            return dotted(node.value) + (node.attr,)
-        return (node.id,) if isinstance(node, ast.Name) else ()
-    return sum(isinstance(node, ast.Call) and dotted(node.func) == chain
+    return sum(isinstance(node, ast.Call) and _dotted(node.func) == chain
                for node in ast.walk(tree))
 
 
@@ -170,6 +173,26 @@ def test_elimination_runs_on_integers():
     system = SubstochasticSystem(ModelParams(12, 0.1), PrecisionConfig(60))
     avalanche.duration_survival(system, 5)
     assert not system._rows
+
+
+def _int_dot_products(tree):
+    """Calls sum(map(operator.mul, ...)): a Python-int dot product."""
+    return sum(isinstance(node, ast.Call) and _dotted(node.func) == ("sum",)
+               and any(isinstance(arg, ast.Call)
+                       and _dotted(arg.func) == ("map",) and arg.args
+                       and _dotted(arg.args[0]) == ("operator", "mul")
+                       for arg in node.args)
+               for node in ast.walk(tree))
+
+
+def test_survival_products_run_on_limbs():
+    # every F v of duration_survival runs on the limb GEMM: no
+    # Python-int product path is left beside it
+    functions = {node.name: node for node in _functions(_trees()["exact.py"])}
+    survival = functions["duration_survival"]
+    assert _calls(survival, "_limb_products") == 1
+    assert _int_dot_products(survival) == 0
+    assert _int_dot_products(ast.parse("sum(map(operator.mul, r, v))")) == 1
 
 
 def test_row_view_keeps_the_traced_interface():
