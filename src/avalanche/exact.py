@@ -19,7 +19,9 @@ subtraction from its float image.  Where that does not converge they,
 and every reach level, run on one cached LU of I-Q per chain, without
 pivoting and without subtraction, in integer (mantissa, exponent) pairs
 at the working precision: each entry is one dot product summed exactly
-and rounded once.
+and rounded once.  Every solve hands back such pairs; ``_checked_solve``
+holds them to the integer residual gate and converts them to mpf once,
+after the gate, from exactly the pairs the gate read.
 The float64 twins, for large n where cubic cost at high precision is
 prohibitive, share one checked solve and refuse what the mpf twins
 refuse; the Q-taking forms let one float Q serve many, each built on
@@ -311,39 +313,46 @@ def _scale(digits: int) -> int:
 
 
 def _scaled(terms: list, s: int) -> list[int]:
-    """floor(t * 2**s) for each term (man, exp) below 1, so exp < 0."""
-    return [(man << s) >> -exp for man, exp in terms]
+    """floor(man * 2**(exp + s)) for each term (man, exp)."""
+    return [m << e + s if e + s >= 0 else m >> -e - s for m, e in terms]
 
 
 def _residual_inf(system: SubstochasticSystem, digits: int, x: list,
-                  b: list[int]) -> mp.mpf:
+                  b: list[int]) -> tuple[int, int]:
     """An upper bound on max_i |x(i) - (Qx)(i) - b(i)| over states
-    1..len(x), x being 1 above its last state (a reach level's boundary),
-    exact in integers at 2**-g: g sums the bits of the tolerance, max|x|
-    and n, plus 16, up to P; (2 + (n+1) max|x|) 2**-g covers truncating
-    x and the integer rows to 2**-g, and the rows' own error."""
-    n = system.n
-    mag = mp.mag(1 + max(map(abs, x), default=0))   # max|x| < 2**mag
-    g = min(mag - mp.mag(system.precision.tol(digits)) + n.bit_length()
-            + 16, _scale(digits))
-    xs = [int(mp.ldexp(v, g)) for v in x] + [1 << g] * (n - 1 - len(x))
-    worst = max((abs((xi << g) - (bi << 2 * g) - sum(map(
-        operator.mul, _scaled(system.int_row(i, digits)[1:], g), xs)))
-        for i, (xi, bi) in enumerate(zip(xs, b), start=1)), default=0)
-    return mp.mpf((worst + ((2 + (n + 1 << mag)) << g), -2 * g))
+    1..len(x), as a (man, exp) pair, for x given as (man, exp) pairs and
+    1 above its last state (a reach level's boundary), exact in integers
+    at 2**-g: g sums the bits of the tolerance, 1 + max|x| (rounded to
+    the working precision, as mpf adds it) and n, plus 16, up to P;
+    (2 + (n+1) max|x|) 2**-g covers truncating x and the integer rows to
+    2**-g, and the rows' own error.  The states above the level count as
+    each row's mass above it."""
+    n, (tm, te) = system.n, system.precision.tol(digits).man_exp
+    ones = (_round((abs(m) << max(e, 0)) + (1 << max(-e, 0)), min(e, 0),
+                   _prec(digits)) for m, e in x)
+    mag = max((m.bit_length() + e for m, e in ones), default=1)
+    g = min(mag + n.bit_length() + 16 - tm.bit_length() - te, _scale(digits))
+    xs = _scaled(x, g)
+    rows = (_scaled(system.int_row(i, digits)[1:], g) for i in range(1, n))
+    worst = max((abs((xi - (bi << g) - sum(row[len(xs):]) << g)
+                     - sum(map(operator.mul, row, xs)))
+                 for xi, bi, row in zip(xs, b, rows)), default=0)
+    return worst + ((2 + (n + 1 << mag)) << g), -2 * g
 
 
 def _checked_solve(system: SubstochasticSystem, solve, b: list) -> list:
-    """Accept x = solve(digits) on states 1..len(b) when its residual
-    against b is below 10**(-d/2), else solve once more at twice the
-    digits.  The refusal names the digits of the last try."""
+    """Accept x = solve(digits), (man, exp) pairs on states 1..len(b),
+    when its residual bound against b is below 10**(-d/2), else solve
+    once more at twice the digits; the accepted pairs, those the gate
+    read, become mpf here and only here.  The refusal names the digits
+    of the last try."""
     digits = system.precision.decimal_digits
     for _ in range(2):
         with mp.workdps(digits + _GUARD_DIGITS):
             x = solve(digits)
-            if (_residual_inf(system, digits, x, b)
+            if (mp.mpf(_residual_inf(system, digits, x, b))
                     < system.precision.tol(digits)):
-                return x
+                return [mp.mpf(t) for t in x]
         digits *= 2
     raise ArithmeticError(
         f"residual above tolerance even after raising precision to "
@@ -456,7 +465,9 @@ def _refine(system: SubstochasticSystem, b: list[int],
     53-bit integers m times one power of two, adds it to x and takes it
     off the residual by P-bit by 53-bit products.  It stops once a
     correction is below 2**-(P-16), the working precision: x >= b >= 1,
-    so that is relative too.
+    so that is relative too.  x goes back as (man, exp) pairs, rounded
+    to the working precision as mpf rounds (``_round``): the pairs the
+    residual gate reads, which ``_checked_solve`` converts once it passes.
     """
     scale, fixed, inverse = system.fixed_point_q(digits)
     if inverse is None:
@@ -483,7 +494,7 @@ def _refine(system: SubstochasticSystem, b: list[int],
         stalls = stalls + 1 if size << _SHRINK_BITS > last else 0
         if stalls == 2:
             return None
-    return [mp.mpf((v, -scale)) for v in x]
+    return [*map(_round, x, repeat(-scale), repeat(_prec(digits)))]
 
 
 def _expectation(system: SubstochasticSystem, b: list[int],
@@ -491,11 +502,10 @@ def _expectation(system: SubstochasticSystem, b: list[int],
     """(I-Q)^-1 b over states 1..n-1, refined or else by forward and back
     substitution; at least b, as the chain starts in i."""
     def solve(digits):
-        x = _refine(system, b, digits)
-        if x is not None:
+        if (x := _refine(system, b, digits)) is not None:
             return x
         (lu, _), prec = system.factors(system.n - 1, digits), _prec(digits)
-        return [mp.mpf(t) for t in _back(lu, _forward(lu, b, prec), prec)]
+        return _back(lu, _forward(lu, b, prec), prec)
 
     x = _checked_solve(system, solve, b)
     if any(v < bi for v, bi in zip(x, b)):
@@ -631,8 +641,8 @@ def reach_probability(system: SubstochasticSystem, j_level: int) -> list:
     """
     def solve(digits):
         lu, sums = system.factors(m, digits)
-        return [mp.mpf(t) for t in _back(
-            lu, [s[m - i - 1] for i, s in enumerate(sums[:m])], _prec(digits))]
+        return _back(lu, [s[m - i - 1] for i, s in enumerate(sums[:m])],
+                     _prec(digits))
 
     m = _states_below(system.n, j_level)
     h = _checked_solve(system, solve, [0] * m)
@@ -668,6 +678,8 @@ def max_distribution(system: SubstochasticSystem, i0: int,
     Adjacent tails near 1 may invert by rounding: a difference below 0
     by at most the tolerance is clamped to 0, one below that refused."""
     j_max = system.n if j_max is None else j_max
+    if j_max < 0:
+        raise ValueError(f"need j_max >= 0, got j_max={j_max}")
     tail = max_survival(system, i0, range(i0, j_max + 2))
     tol, zero = system.precision.tol(), mp.mpf(0)
     # the tails carry the working precision; so must their differences

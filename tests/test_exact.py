@@ -194,6 +194,15 @@ class TestResidualGate:
                 mpf_row(system, i, 2 * digits)[1:], xs))
                        for i, (xi, bi) in enumerate(zip(x, b), start=1))
 
+    @staticmethod
+    def gate(system, digits, x, b):
+        """The gate's bound on the (man, exp) pairs of x, exactly as mpf;
+        read at the working precision of a solve at ``digits``."""
+        with mp.workdps(digits + exact._GUARD_DIGITS):
+            man, exp = exact._residual_inf(system, digits,
+                                           [v.man_exp for v in x], b)
+        return mp.mpf((man, exp), prec=man.bit_length())
+
     def test_bounds_the_mpf_residual_at_twice_the_digits(self):
         # E(T) near 1e26 here, so the gate's scale reaches max|x|'s bits
         system = small_system(n=100, c=3.0, digits=60)
@@ -202,9 +211,25 @@ class TestResidualGate:
                  (reach_probability(system, 50), [0] * 49)]
         assert 1e25 < cases[0][0][-1] < 1e27
         for x, b in cases:
-            with mp.workdps(70):
-                gate = exact._residual_inf(system, 60, x, b)
-            assert self.mpf_residual(system, 60, x, b) <= gate < tol
+            assert self.mpf_residual(system, 60, x, b) \
+                <= self.gate(system, 60, x, b) < tol
+
+    @pytest.mark.parametrize("pair", [
+        lambda p: (2 ** p - 1, -p),        # 1 + x rounds up to 2
+        lambda p: (2 ** p - 1, 2 - p),     # 1 + x rounds to 5
+        lambda p: (3 << p - 2, 2 - p),     # x = 3, 1 + x = 4
+        lambda p: (0, 0),
+        lambda p: (1 << p - 1, -p - 300)], ids=["near 1", "near 4", "3",
+                                                 "0", "tiny"])
+    def test_scale_reads_one_plus_max_x_as_mpf_adds_it(self, pair):
+        # g counts the bits of 1 + max|x| rounded to the working
+        # precision, read from the pairs without mpf, and 5 for n=20
+        x = [pair(exact._prec(60))]
+        system = small_system(n=20, c=0.9, digits=60)
+        with mp.workdps(70):
+            g = mp.mag(1 + mp.mpf(x[0])) + 5 + 16 \
+                - mp.mag(system.precision.tol(60))
+        assert exact._residual_inf(system, 60, x, [0])[1] == -2 * g
 
     @pytest.mark.parametrize("solve, b", [(expected_duration, [1] * 39),
                                           (_reach_20, [0] * 19)])
@@ -212,12 +237,12 @@ class TestResidualGate:
         system = small_system(n=40, c=1.0)
         x = solve(system)
         tol = system.precision.tol()
-        with mp.workdps(70):
-            assert exact._residual_inf(system, 60, x, b) < tol
-            for k in (0, len(x) // 2, len(x) - 1):
-                moved = list(x)
+        assert self.gate(system, 60, x, b) < tol
+        for k in (0, len(x) // 2, len(x) - 1):
+            moved = list(x)
+            with mp.workdps(70):
                 moved[k] += 10 * tol
-                assert exact._residual_inf(system, 60, moved, b) >= tol
+            assert self.gate(system, 60, moved, b) >= tol
 
 
 class TestHandOracle:
@@ -448,6 +473,13 @@ class TestLimbProducts:
 
 
 class TestReachAndMax:
+    def test_max_distribution_refuses_a_negative_j_max(self):
+        system = small_system(n=10, c=1.0)
+        with pytest.raises(ValueError, match="j_max=-1"):
+            max_distribution(system, 5, -1)
+        assert not system._int_rows   # refused before any solve
+        assert max_distribution(system, 5, 0) == [0]
+
     def test_level_one_empty(self):
         system = small_system()
         assert reach_probability(system, 1) == []
@@ -642,6 +674,23 @@ def _max_12(system):
     return max_survival(system, 1, range(1, 14))
 
 
+def _recorded_gate(monkeypatch):
+    """Record each x the residual gate is handed, then gate it as set."""
+    seen, gate = [], exact._residual_inf
+
+    def record(system, digits, x, b):
+        seen.append(x)
+        return gate(system, digits, x, b)
+
+    monkeypatch.setattr(exact, "_residual_inf", record)
+    return seen
+
+
+def _exactly(pairs):
+    """The values of (man, exp) pairs as unrounded mpf tuples."""
+    return [mp.libmp.from_man_exp(*t) for t in pairs]
+
+
 class TestPrecisionRetry:
     """A solve whose residual gate fails is solved once more at twice the
     digits, refined or factored as at the first try, and returns that
@@ -659,7 +708,7 @@ class TestPrecisionRetry:
 
         def fake_residual(system, digits, x, b):
             if digits in failing:
-                return mp.mpf(1)
+                return 1, 0
             return residual(system, digits, x, b)
 
         def record(system, digits, out):
@@ -694,6 +743,16 @@ class TestPrecisionRetry:
         assert got == want
         # the retry built its rows at twice the digits
         assert max(d for _, d in system._int_rows) == 120
+
+    def test_the_retry_returns_the_pairs_its_gate_read(self, gate,
+                                                       monkeypatch):
+        failing, _ = gate
+        failing.add(60)
+        seen = _recorded_gate(monkeypatch)
+        got = expected_duration(small_system(n=20, c=1.1, digits=60))
+        assert [len(x) for x in seen] == [19, 19]
+        assert [v._mpf_ for v in got] == _exactly(seen[1]) \
+            != _exactly(seen[0])
 
     @pytest.mark.parametrize("solve", [expected_duration, _reach_12,
                                        _max_12])
@@ -830,6 +889,44 @@ class TestRefinement:
         assert system.fixed_point_q()[2] is None
         expected_duration(system)
         assert 400 in system._factors
+
+
+def _expectations(system):
+    return expected_duration(system) + expected_size(system)
+
+
+def _all_levels(system):
+    return max_survival(system, 1, range(1, system.n + 2))
+
+
+class TestCheckedSolveValues:
+    """Every checked solve returns the pairs its residual gate read."""
+
+    @pytest.mark.parametrize("solve, n, c, digits, digest", [
+        (_expectations, 40, 1.3, 400, "9cbee9e6aec8cc90"),   # refined
+        (_expectations, 100, 3.0, 60, "f7db3991f3bda371"),   # eliminated
+        (_all_levels, 24, 1.3, 60, "c0e32cd6031e41fb"),
+        (_all_levels, 24, 1.3, 400, "03d4136d9a96d0ea"),
+        (_reach_12, 24, 1.3, 60, "22db47a5b6070611")])
+    def test_values_are_pinned(self, solve, n, c, digits, digest):
+        # the (man, exp) pairs of the returned mpf, recorded where the
+        # solves turned their pairs into mpf inside each closure
+        pairs = [v.man_exp for v in solve(small_system(n, c, digits))]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] \
+            == digest
+
+    @pytest.mark.parametrize("solve, refined", [
+        (expected_duration, True), (expected_duration, False),
+        (_reach_12, False)])
+    def test_returns_the_pairs_its_gate_read(self, solve, refined,
+                                             monkeypatch):
+        seen = _recorded_gate(monkeypatch)
+        system = small_system(24, 1.3, 60)
+        got = (solve(system) if refined
+               else TestRefinement.eliminated(monkeypatch, system, solve))
+        assert bool(system._factors) != refined
+        assert len(seen) == 1
+        assert [v._mpf_ for v in got] == _exactly(seen[0])
 
 
 class TestFloatShortcuts:

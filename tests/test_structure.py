@@ -2,13 +2,15 @@
 one GTH elimination, one reached-block helper read by the two float
 kernels, no exact solve reading a system's private state, one integer
 row builder for the exact tier, an elimination that alone reads the
-rounded rows and runs on integers, survival products on the limb GEMM
-alone, one lockstep engine, one mean-field iteration per deterministic
-table, random generators built only from a replicate key, scipy
-imported only inside the functions that use it, no pass-through layer
-left behind, no module reaching into a sibling's private names, no
-function, class or method that neither the CLI nor the public list
-reaches, and no parameter or dataclass field left unread."""
+rounded rows and runs on integers, a residual gate on integers and one
+place where a checked solve's pairs become mpf, survival products on
+the limb GEMM alone, one lockstep engine, one mean-field iteration per
+deterministic table, random generators built only from a replicate
+key, scipy imported only inside the functions that use it, no
+pass-through layer left behind, no module reaching into a sibling's
+private names, no function, class or method that neither the CLI nor
+the public list reaches, and no parameter or dataclass field left
+unread."""
 
 import ast
 import inspect
@@ -154,22 +156,35 @@ def test_one_integer_row_builder_in_exact():
             if _calls(node, "accumulate")] == ["factors"]
 
 
+def _builds_mpf_lists(tree):
+    """Holds [mp.mpf(...) for ...]."""
+    return any(isinstance(node, ast.ListComp)
+               and isinstance(node.elt, ast.Call)
+               and _dotted(node.elt.func) == ("mp", "mpf")
+               for node in ast.walk(tree))
+
+
 def test_elimination_runs_on_integers():
-    # factors alone reads the rounded rows, and it, both substitutions
-    # and their arithmetic touch no mpmath name: the solves turn the
-    # (man, exp) pairs into mpf at their boundary.  Survival multiplies
-    # the fixed-point rows: no rounded row is built for it
+    # factors alone reads the rounded rows, and it, both substitutions,
+    # the refinement, the residual gate and their arithmetic touch no
+    # mpmath name: _checked_solve alone turns a solve's (man, exp) pairs
+    # into mpf, after the gate.  Survival, no checked solve, converts its
+    # own integers.  It multiplies the fixed-point rows: no rounded row
+    # is built for it
     readers = {(name, node.name) for name, tree in _trees().items()
                for node in _functions(tree)
                if _calls(node, "self", "row") or _calls(node, "system", "row")}
     assert readers == {("exact.py", "factors")}
     kernel = ("factors", "_back", "_forward", "_dot", "_sum", "_div",
-              "_round", "_add")
+              "_round", "_add", "_refine", "_residual_inf")
+    functions = _functions(_trees()["exact.py"])
     reads_mp = {node.name: any(isinstance(ref, ast.Name) and ref.id == "mp"
                                for ref in ast.walk(node))
-                for node in _functions(_trees()["exact.py"])
-                if node.name in kernel}
+                for node in functions if node.name in kernel}
     assert reads_mp == dict.fromkeys(kernel, False)
+    assert {node.name for node in functions if _builds_mpf_lists(node)} \
+        == {"_checked_solve", "duration_survival"}
+    assert _builds_mpf_lists(ast.parse("[mp.mpf(t) for t in x]"))
     system = SubstochasticSystem(ModelParams(12, 0.1), PrecisionConfig(60))
     avalanche.duration_survival(system, 5)
     assert not system._rows
