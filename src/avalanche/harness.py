@@ -183,6 +183,8 @@ def run_trajectories(params: ModelParams, i0: int, replicates: int,
 
 def mc_size_pmf(stats: np.ndarray, j_max: int) -> np.ndarray:
     """Empirical pmf of the total size over 0..j_max (non-truncated rows)."""
+    if j_max < 0:
+        raise ValueError(f"need j_max >= 0, got j_max={j_max}")
     ok = stats[:, 3] == 0
     if not ok.any():
         raise ValueError("no finished replicate: every row is truncated")

@@ -122,6 +122,42 @@ class TestIntegerRows:
                     assert abs(mp.ldexp(man, e) - want) \
                         <= mp.ldexp(want, -(prec + 8))
 
+    @staticmethod
+    def reference_row(system, i):
+        """The row by its recurrence, the head in mpf under workprec: each
+        term t_j = t_{j-1} R (m-j+1) // j, cut to w bits."""
+        n, digits = system.n, system.precision.decimal_digits
+        m = n - i
+        w = exact._scale(digits) + m.bit_length() + 8
+        num, den = system.params.p.as_integer_ratio()
+        fail, den = (den - num) ** i, den ** i
+        with mp.workprec(w + m.bit_length() + 4):
+            ratio, r_exp = (mp.mpf(den - fail) / fail).man_exp
+            man, exp = (mp.mpf((fail, 1 - den.bit_length())) ** m).man_exp
+        out = [(man, exp)]
+        for j in range(1, m + 1):
+            man = man * ratio * (m - j + 1) // j
+            s = max(man.bit_length() - w, 0)
+            man, exp = man >> s, exp + r_exp + s
+            out.append((man, exp))
+        return out
+
+    @pytest.mark.parametrize("n, c, digits", [
+        *((12, c, d) for c in (0.5, 1.3, 4.0) for d in (60, 400)),
+        (100, 1.0, 400), (100, 3.0, 60), (200, 1.5, 60)])
+    def test_rows_equal_the_mpf_headed_recurrence(self, n, c, digits):
+        system = small_system(n, c, digits)
+        for i in range(1, n):
+            assert system.int_row(i) == self.reference_row(system, i), i
+
+    def test_dyadic_rows_equal_the_mpf_headed_recurrence(self):
+        # p = 1/2: R = 1, a one-bit mantissa
+        system = SubstochasticSystem(ModelParams(3, 0.5))
+        for i in (1, 2):
+            assert system.int_row(i) == self.reference_row(system, i)
+        assert system.int_row(1) == [(1, -2), (2, -2), (1, -2)]
+        assert system.int_row(2) == [(1, -2), (3, -2)]
+
     def test_refined_solves_build_no_mpf_rows(self):
         system = small_system(n=30, c=1.1)
         expected_duration(system)
@@ -470,6 +506,13 @@ class TestLimbProducts:
         assert product(v) == _int_products(rows, v)
         v = v[::-1]   # one limb copy serves every v
         assert product(v) == _int_products(rows, v)
+
+    def test_empty_rows_and_blocks(self):
+        # a block of empty rows has width 0; no rows give no sums
+        rows = [[5, 1 << 99]] + [[]] * exact._LIMB_ROWS
+        v = [7, (1 << 100) - 1]
+        assert exact._limb_products(rows, 100)(v) == _int_products(rows, v)
+        assert exact._limb_products([], 100)(v) == []
 
 
 class TestReachAndMax:

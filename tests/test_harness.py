@@ -179,6 +179,16 @@ class TestTrajectories:
         pmf = harness.mc_size_pmf(stats, 30)
         assert pmf.sum() == pytest.approx(1.0)
 
+    def test_size_pmf_refuses_a_negative_j_max(self):
+        params = ModelParams.from_intensity(50, 0.8)
+        stats = harness.run_trajectories(params, 1, 50, 3)
+        with pytest.raises(ValueError, match="j_max=-1"):
+            harness.mc_size_pmf(stats, -1)
+        # refused before the rows are read: all-truncated rows too
+        with pytest.raises(ValueError, match="j_max=-1"):
+            harness.mc_size_pmf(np.ones((3, 4), dtype=np.int64), -1)
+        assert harness.mc_size_pmf(stats, 0).tolist() == [1.0]
+
     def test_size_pmf_refuses_rows_all_truncated(self):
         params = ModelParams.from_intensity(100, 5.0)
         stats = harness.run_trajectories(params, 50, 20, 4, max_steps=3)

@@ -1,16 +1,16 @@
 """Source layout checks: one float kernel formula, one float solve kernel,
 one GTH elimination, one reached-block helper read by the two float
 kernels, no exact solve reading a system's private state, one integer
-row builder for the exact tier, an elimination that alone reads the
-rounded rows and runs on integers, a residual gate on integers and one
-place where a checked solve's pairs become mpf, survival products on
-the limb GEMM alone, one lockstep engine, one mean-field iteration per
-deterministic table, random generators built only from a replicate
-key, scipy imported only inside the functions that use it, no
-pass-through layer left behind, no module reaching into a sibling's
-private names, no function, class or method that neither the CLI nor
-the public list reaches, and no parameter or dataclass field left
-unread."""
+row builder for the exact tier, with no mpf in it, an elimination that
+alone reads the rounded rows and runs on integers, a residual gate on
+integers and one place where a checked solve's pairs become mpf,
+survival products on the limb GEMM alone, one lockstep engine, one
+mean-field iteration per deterministic table, random generators built
+only from a replicate key, scipy imported only inside the functions
+that use it, no pass-through layer left behind, no module reaching into
+a sibling's private names, no function, class or method that neither
+the CLI nor the public list reaches, and no parameter or dataclass
+field left unread."""
 
 import ast
 import inspect
@@ -154,6 +154,16 @@ def test_one_integer_row_builder_in_exact():
     # factorization, not from a sum over factor rows per level
     assert [name for name, node in functions.items()
             if _calls(node, "accumulate")] == ["factors"]
+
+
+def test_integer_rows_build_no_mpf():
+    # the row head calls mpmath's raw-tuple functions: no mpf object and
+    # no precision context per row
+    functions = {node.name: node for node in _functions(_trees()["exact.py"])}
+    row = functions["int_row"]
+    assert not any(_calls(row, "mp", name)
+                   for name in ("mpf", "workprec", "workdps"))
+    assert _calls(row, "libmp", "mpf_pow_int") == 1
 
 
 def _builds_mpf_lists(tree):
